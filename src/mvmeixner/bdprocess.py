@@ -24,6 +24,7 @@ from .model import (
     compositions,
     compositions_upto,
     enumerate_lattice,
+    lattice_index,
     log_shifted_factorial,
     shifted_factorial,
     tail_bound,
@@ -81,9 +82,13 @@ def phi_matrix(
     lattice: Sequence[MultiIndex],
 ) -> np.ndarray:
     """phi entries, shape (len(m_list), len(lattice))."""
-    table = poly_table(p, sd, max(sum(m) for m in m_list), max(sum(x) for x in lattice))
-    rows = [table.m_list.index(tuple(m)) for m in m_list]
-    cols = [table.x_list.index(tuple(x)) for x in lattice]
+    max_deg = max(sum(m) for m in m_list)
+    S = max(sum(x) for x in lattice)
+    table = poly_table(p, sd, max_deg, S)
+    m_index = lattice_index(p.n, max_deg)
+    x_index = lattice_index(p.n, S)
+    rows = [m_index[tuple(m)] for m in m_list]
+    cols = [x_index[tuple(x)] for x in lattice]
     P = table.values[np.ix_(rows, cols)]
     sw = np.sqrt(weight_vector(p, lattice))
     swb = np.sqrt(wbar_vector(p, sd, m_list))
@@ -330,6 +335,41 @@ def transition_prob(
     )
 
 
+class _SpectralKernel:
+    """T(x, y; t) = W(x) sum_{|m| <= M} Wbar(m) e^{-E(m) t} P_m(x) P_m(y)
+    on {|x|, |y| <= S}, with the P table, W, Wbar and E computed once.
+
+    A row or a column costs O(#m * N) for N lattice points; only `matrix`
+    builds the dense N x N kernel.
+    """
+
+    def __init__(self, p: ModelParams, sd: SpectralData, M: int, S: int):
+        self.table = poly_table(p, sd, M, S)
+        self.w = weight_vector(p, self.table.x_list)
+        self.wbar = wbar_vector(p, sd, self.table.m_list)
+        self.energy = np.array([sd.energy(m) for m in self.table.m_list])
+        self.index = lattice_index(p.n, S)
+
+    def decay(self, t: float) -> np.ndarray:
+        """Wbar(m) e^{-E(m) t} over the degree list."""
+        return self.wbar * np.exp(-self.energy * t)
+
+    def matrix(self, t: float) -> np.ndarray:
+        P = self.table.values
+        return self.w[:, None] * (P.T @ (self.decay(t)[:, None] * P))
+
+    def column(self, y: MultiIndex, t: float) -> np.ndarray:
+        """T(., y; t): the distribution at time t from the start y."""
+        P = self.table.values
+        return self.w * (P.T @ (self.decay(t) * P[:, self.index[tuple(y)]]))
+
+    def row(self, x: MultiIndex, t: float) -> np.ndarray:
+        """T(x, .; t): the chance of x at time t from every start."""
+        P = self.table.values
+        ix = self.index[tuple(x)]
+        return self.w[ix] * ((self.decay(t) * P[:, ix]) @ P)
+
+
 def transition_matrix(
     p: ModelParams, sd: SpectralData, t: float, M: int, S: int
 ) -> np.ndarray:
@@ -341,22 +381,20 @@ def transition_matrix(
     """
     if t < 0:
         raise NegativeTime(f"t must be >= 0, got {t}")
-    table = poly_table(p, sd, M, S)
-    w = weight_vector(p, table.x_list)
-    decay = wbar_vector(p, sd, table.m_list) * np.exp(
-        -np.array([sd.energy(m) for m in table.m_list]) * t
-    )
-    return w[:, None] * (table.values.T @ (decay[:, None] * table.values))
+    return _SpectralKernel(p, sd, M, S).matrix(t)
 
 
 def conservation_defect(
     p: ModelParams, sd: SpectralData, y: MultiIndex, t: float, M: int, S: int
 ) -> float:
-    """|1 - sum_{|x| <= S} T(x, y; t)|: escaped mass plus spectral truncation."""
-    lat = enumerate_lattice(p.n, S)
-    idx = {v: i for i, v in enumerate(lat)}
-    T = transition_matrix(p, sd, t, M, S)
-    return abs(1.0 - float(T[:, idx[tuple(y)]].sum()))
+    """|1 - sum_{|x| <= S} T(x, y; t)|: the mass escaped from |x| <= S.
+
+    Orthogonality of every P_m with m != 0 to P_0 = 1 under W makes the
+    column sum over the whole lattice exactly 1 for every M, so this measures
+    the lattice truncation S only, never the spectral truncation M.
+    """
+    col = _SpectralKernel(p, sd, M, S).column(y, t)
+    return abs(1.0 - float(col.sum()))
 
 
 def chapman_kolmogorov_check(
@@ -371,42 +409,32 @@ def chapman_kolmogorov_check(
 ) -> dict[str, float]:
     """|T(x,y; t+t') - sum_{|z| <= S} T(x,z; t) T(z,y; t')| with an estimate
     of what the z- and m-truncations can contribute."""
-    lat = enumerate_lattice(p.n, S)
-    idx = {v: i for i, v in enumerate(lat)}
-    ix, iy = idx[tuple(x)], idx[tuple(y)]
-    Tt = transition_matrix(p, sd, t, M, S)
-    Tp = transition_matrix(p, sd, t_prime, M, S)
-    direct = transition_matrix(p, sd, t + t_prime, M, S)
-    composed = Tt[ix] @ Tp[:, iy]
-    residual = abs(direct[ix, iy] - composed)
+    kernel = _SpectralKernel(p, sd, M, S)
+    ix, iy = kernel.index[tuple(x)], kernel.index[tuple(y)]
+    first_leg = kernel.row(x, t)
+    second_leg = kernel.column(y, t_prime)
+    direct = kernel.row(x, t + t_prime)[iy]
+    composed = first_leg @ second_leg
+    residual = abs(direct - composed)
 
     # the z-sum misses sum_{|z|>S} T(x,z;t) T(z,y;t'); the second factor's
     # escaped column mass times the largest first-leg kernel value bounds it
-    escaped = abs(1.0 - float(Tp[:, iy].sum()))
-    z_escape = escaped * float(np.abs(Tt[ix]).max())
-    shell = _top_shell_contribution(p, sd, x, y, t + t_prime, M)
+    escaped = abs(1.0 - float(second_leg.sum()))
+    z_escape = escaped * float(np.abs(first_leg).max())
+    # m_list is graded-lex, so the shell |m| = M is its tail
+    top = slice(-len(compositions(M, p.n)), None)
+    P = kernel.table.values
+    shell = kernel.w[ix] * float(
+        np.abs(kernel.decay(t + t_prime)[top] * P[top, ix] * P[top, iy]).sum()
+    )
     return {
         "residual": float(residual),
-        "direct": float(direct[ix, iy]),
+        "direct": float(direct),
         "composed": float(composed),
         "start_column_defect": escaped,
         "z_escape_estimate": z_escape,
         "top_shell_contribution": shell,
     }
-
-
-def _top_shell_contribution(
-    p: ModelParams, sd: SpectralData, x, y, t: float, M: int
-) -> float:
-    total = 0.0
-    for m in compositions(M, p.n):
-        total += abs(
-            wbar(p, sd, m)
-            * math.exp(-sd.energy(m) * t)
-            * meixner_eval(p, sd, m, x)
-            * meixner_eval(p, sd, m, y)
-        )
-    return weight(p, x) * total
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +567,13 @@ def compare_sim_spectral(
     S = max(max((sum(s) for s in sim.counts), default=0), sum(sim.x0)) + 5
     probs, lat = _spectral_column(p, sd, sim.x0, sim.t, M, S)
 
-    idx = {s: i for i, s in enumerate(lat)}
     rows: list[StateRow] = []
     cells: list[tuple[float, int]] = []
     covered_p = 0.0
     covered_n = 0
     max_abs_z = 0.0
-    for s in lat:
-        prob = max(float(probs[idx[s]]), 0.0)
+    for s, prob in zip(lat, probs):
+        prob = max(float(prob), 0.0)
         count = sim.counts.get(s, 0)
         if count == 0 and N * prob < pool_expected:
             continue
@@ -593,12 +620,15 @@ def _spectral_column(
     S: int,
     mass_tol: float = 1e-8,
 ) -> tuple[np.ndarray, list[MultiIndex]]:
-    """Distribution T(., x0; t) over {|x| <= S}, growing S until the mass closes."""
+    """Distribution T(., x0; t) over {|x| <= S}, growing S by 10 until the
+    column sums to 1 within mass_tol or S reaches 120.
+
+    The sum over the whole lattice is exactly 1 for every M (orthogonality
+    to P_0), so the mass test closes only the escape from |x| <= S; it is
+    blind to the spectral truncation at M.
+    """
     while True:
-        lat = enumerate_lattice(p.n, S)
-        idx = {v: i for i, v in enumerate(lat)}
-        T = transition_matrix(p, sd, t, M, S)
-        col = T[:, idx[tuple(x0)]]
+        col = _SpectralKernel(p, sd, M, S).column(x0, t)
         if abs(1.0 - float(col.sum())) <= mass_tol or S >= 120:
-            return col, lat
+            return col, enumerate_lattice(p.n, S)
         S += 10

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,10 +150,6 @@ def lattice_index(n: int, S: int) -> dict[MultiIndex, int]:
 def unit_shift(x: MultiIndex, j: int, step: int) -> MultiIndex:
     """x + step * e_j. For step=-1 the caller must ensure x[j] >= 1."""
     return x[:j] + (x[j] + step,) + x[j + 1:]
-
-
-def iter_degree_shell(n: int, s: int) -> Iterator[MultiIndex]:
-    return iter(compositions(s, n))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .model import (
     ModelParams,
     MultiIndex,
     enumerate_lattice,
+    lattice_index,
     unit_shift,
     weight_vector,
 )
@@ -116,7 +117,7 @@ def build_H(p: ModelParams, S: int) -> sp.csr_matrix:
     -sqrt(B_j(x) D_j(x+e_j)) at x <-> x+e_j.  Both triangle entries are
     written from the same float, so the result is bitwise symmetric."""
     lat = enumerate_lattice(p.n, S)
-    idx = {x: i for i, x in enumerate(lat)}
+    idx = lattice_index(p.n, S)
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
@@ -143,7 +144,7 @@ def build_A(p: ModelParams, S: int, j: int) -> sp.csr_matrix:
     """Factor A_j on {|x| <= S}: A_j[x, x] = sqrt(B_j(x)),
     A_j[x, x+e_j] = -sqrt(D_j(x+e_j))."""
     lat = enumerate_lattice(p.n, S)
-    idx = {x: i for i, x in enumerate(lat)}
+    idx = lattice_index(p.n, S)
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
@@ -164,7 +165,7 @@ def build_LBD(p: ModelParams, S: int) -> sp.csr_matrix:
     """Generator acting on distributions: (L P)(x) = -sum_j (B_j + D_j)(x) P(x)
     + sum_j B_j(x-e_j) P(x-e_j) + sum_j D_j(x+e_j) P(x+e_j), soft-truncated."""
     lat = enumerate_lattice(p.n, S)
-    idx = {x: i for i, x in enumerate(lat)}
+    idx = lattice_index(p.n, S)
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []

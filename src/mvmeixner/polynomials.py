@@ -1,11 +1,15 @@
 """Polynomial evaluation by two independent routes.
 
-Route 1 (`meixner_eval`): the terminating matrix sum over n-by-n nonnegative
-integer matrices.  A matrix contributes zero unless its column sums stay
-within m and its row sums within x, because a shifted factorial with a
-nonpositive-integer base vanishes; the iterator enumerates column
-compositions bounded by m and prunes rows at x, so only surviving terms are
-visited.
+Route 1 (`meixner_eval`, `poly_values`): the terminating matrix sum over
+n-by-n nonnegative integer matrices, collapsed onto row-sum vectors r,
+
+    P_m(x) = sum_r coeff_r * prod_i (-x_i)_{r_i}.
+
+A matrix contributes zero unless column j sums to at most m_j and row i to
+at most x_i, because a shifted factorial with a nonpositive-integer base
+vanishes.  One recursion (`_row_sum_coeffs`) enumerates the column
+compositions bounded by m, prunes rows at given caps and sums each r bucket
+with fsum; a single point caps the rows at x, a whole table at |m|.
 
 Route 2 (`genfun_eval`): expansion of the generating function
 
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,34 +47,6 @@ DEFAULT_SERIES_CAP = 8
 # ---------------------------------------------------------------------------
 # Route 1: terminating matrix sum
 # ---------------------------------------------------------------------------
-
-def coefficient_matrices(
-    m: MultiIndex, x_bounds: MultiIndex | None = None
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield the n-by-n matrices (row-major) with column sums <= m_j and,
-    when x_bounds is given, row sums <= x_i.
-
-    Columns are enumerated outermost (their bounds depend only on m, so the
-    per-column composition lists are shared across evaluation points); row
-    bounds prune the search as soon as a partial row sum overshoots.
-    """
-    n = len(m)
-    col_options = [compositions_upto(mj, n) for mj in m]
-
-    def rec(j: int, rows: tuple[int, ...], cols: tuple[MultiIndex, ...]):
-        if j == n:
-            yield tuple(tuple(col[i] for col in cols) for i in range(n))
-            return
-        for col in col_options[j]:
-            new_rows = tuple(r + c for r, c in zip(rows, col))
-            if x_bounds is not None and any(
-                r > xb for r, xb in zip(new_rows, x_bounds)
-            ):
-                continue
-            yield from rec(j + 1, new_rows, cols + (col,))
-
-    yield from rec(0, (0,) * n, ())
-
 
 @lru_cache(maxsize=4096)
 def _column_factors(
@@ -99,62 +75,25 @@ def _u_columns(sd: SpectralData) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(sd.u[i][j] for i in range(n)) for j in range(n))
 
 
-def meixner_eval(
-    p: ModelParams, sd: SpectralData, m: MultiIndex, x: MultiIndex
-) -> float:
-    """P_m(x) by the terminating matrix sum, Kahan-compensated.
-
-    Terms alternate in sign through the (-x_i) and (-m_j) shifted factorials,
-    so compensation matters once |m| and |x| grow.
-    """
-    n = p.n
-    if len(m) != n or len(x) != n:
-        raise ValueError(f"m and x must have length {n}")
-    factors = _column_factors(_u_columns(sd), tuple(m))
-    total_deg = sum(m)
-    beta_poch = [shifted_factorial(p.beta, T) for T in range(total_deg + 1)]
-    # (-x_i)_k for the row-sum factors
-    xfac = [
-        [shifted_factorial(-xi, k) for k in range(min(xi, total_deg) + 1)]
-        for xi in x
-    ]
-
-    total = 0.0
-    comp = 0.0
-
-    def rec(j: int, rows: tuple[int, ...], fac: float):
-        nonlocal total, comp
-        if j == n:
-            term = fac / beta_poch[sum(rows)]
-            for i in range(n):
-                term *= xfac[i][rows[i]]
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            return
-        for col, cfac in factors[j]:
-            if cfac == 0.0:
-                continue
-            new_rows = tuple(r + c for r, c in zip(rows, col))
-            if any(r > xi for r, xi in zip(new_rows, x)):
-                continue
-            rec(j + 1, new_rows, fac * cfac)
-
-    rec(0, (0,) * n, 1.0)
-    return total
-
-
-@lru_cache(maxsize=4096)
+# One entry per (m, caps): pointwise caps multiply the keys, and 1024 entries
+# keep the reuse between nearby points while bounding the memory held when
+# many parameter sets are evaluated in one process.
+@lru_cache(maxsize=1024)
 def _row_sum_coeffs(
-    beta: float, u_cols: tuple[tuple[float, ...], ...], m: MultiIndex
+    beta: float,
+    u_cols: tuple[tuple[float, ...], ...],
+    m: MultiIndex,
+    caps: MultiIndex,
 ) -> tuple[tuple[MultiIndex, float], ...]:
-    """Collapse the matrix sum over fixed row-sum vectors r:
+    """Collapse the matrix sum over fixed row-sum vectors r <= caps:
 
         P_m(x) = sum_r coeff_r * prod_i (-x_i)_{r_i}.
 
     coeff_r absorbs every x-independent factor (the per-column bundles and
-    1/(beta)_{|r|}), so a whole table row costs O(#r) per lattice point.
+    1/(beta)_{|r|}), each bucket summed by fsum.  Row sums never
+    exceed |m|, so caps = (|m|,)*n keeps every r; caps_i = min(x_i, |m|)
+    drops the r whose (-x_i)_{r_i} vanishes at one point x, pruning the
+    recursion as soon as a partial row sum overshoots.
     """
     n = len(m)
     factors = _column_factors(u_cols, m)
@@ -167,13 +106,43 @@ def _row_sum_coeffs(
         for col, cfac in factors[j]:
             if cfac == 0.0:
                 continue
-            rec(j + 1, tuple(r + c for r, c in zip(rows, col)), fac * cfac)
+            new_rows = tuple(r + c for r, c in zip(rows, col))
+            if any(r > cap for r, cap in zip(new_rows, caps)):
+                continue
+            rec(j + 1, new_rows, fac * cfac)
 
     rec(0, (0,) * n, 1.0)
     items = []
     for r in sorted(buckets, key=lambda t: (sum(t), tuple(-v for v in t))):
         items.append((r, math.fsum(buckets[r]) / shifted_factorial(beta, sum(r))))
     return tuple(items)
+
+
+def meixner_eval(
+    p: ModelParams, sd: SpectralData, m: MultiIndex, x: MultiIndex
+) -> float:
+    """P_m(x) by the terminating matrix sum at one point.
+
+    Terms alternate in sign through the (-x_i) and (-m_j) shifted factorials,
+    so each r bucket and the final sum over r go through fsum, which rounds
+    once.
+    """
+    n = p.n
+    if len(m) != n or len(x) != n:
+        raise ValueError(f"m and x must have length {n}")
+    deg = sum(m)
+    caps = tuple(min(xi, deg) for xi in x)
+    coeffs = _row_sum_coeffs(p.beta, _u_columns(sd), tuple(m), caps)
+    xfac = [
+        [shifted_factorial(-xi, k) for k in range(cap + 1)]
+        for xi, cap in zip(x, caps)
+    ]
+    terms = []
+    for r, coef in coeffs:
+        for i, ri in enumerate(r):
+            coef *= xfac[i][ri]
+        terms.append(coef)
+    return math.fsum(terms)
 
 
 def pochhammer_table(kmax: int, vmax: int) -> np.ndarray:
@@ -189,8 +158,8 @@ def poly_values(
     p: ModelParams, sd: SpectralData, m: MultiIndex, X: np.ndarray
 ) -> np.ndarray:
     """P_m at every row of X (shape (npoints, n)), vectorized over points."""
-    coeffs = _row_sum_coeffs(p.beta, _u_columns(sd), tuple(m))
     kmax = sum(m)
+    coeffs = _row_sum_coeffs(p.beta, _u_columns(sd), tuple(m), (kmax,) * len(m))
     vmax = int(X.max()) if X.size else 0
     T = pochhammer_table(kmax, vmax)
     out = np.zeros(X.shape[0])
@@ -223,11 +192,6 @@ class TruncatedSeries:
         self.coeffs = coeffs if coeffs is not None else {}
 
     @classmethod
-    def constant(cls, value: float, n_vars: int, cap: int) -> "TruncatedSeries":
-        zero = (0,) * n_vars
-        return cls(n_vars, cap, {zero: value} if value else {})
-
-    @classmethod
     def geometric_power(cls, gamma: float, n_vars: int, cap: int) -> "TruncatedSeries":
         """(1 - t_1 - ... - t_n)^(-gamma): coefficient of t^k is (gamma)_{|k|}/k!."""
         coeffs = {}
@@ -254,19 +218,6 @@ class TruncatedSeries:
             if c:
                 coeffs[k] = c
         return cls(n_vars, cap, coeffs)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if (self.n_vars, self.cap) != (other.n_vars, other.cap):
-            raise ValueError("series shape mismatch")
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, 0.0) + v
-        return TruncatedSeries(self.n_vars, self.cap, coeffs)
-
-    def scale(self, factor: float) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.n_vars, self.cap, {k: v * factor for k, v in self.coeffs.items()}
-        )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if (self.n_vars, self.cap) != (other.n_vars, other.cap):
@@ -363,9 +314,6 @@ class PolyTable:
     m_list: tuple[MultiIndex, ...]
     x_list: tuple[MultiIndex, ...]
     values: np.ndarray  # shape (len(m_list), len(x_list))
-
-    def row(self, m: MultiIndex) -> np.ndarray:
-        return self.values[self.m_list.index(tuple(m))]
 
     def write_csv(self, path: str | Path) -> None:
         """Header row of x indices, first column of m indices, cells with 17

@@ -179,18 +179,6 @@ class SpectralData:
     def b(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(1.0 - v for v in row) for row in self.u)
 
-    @property
-    def lam_array(self) -> np.ndarray:
-        return np.asarray(self.lam)
-
-    @property
-    def u_array(self) -> np.ndarray:
-        return np.asarray(self.u)
-
-    @property
-    def b_array(self) -> np.ndarray:
-        return 1.0 - self.u_array
-
     def energy(self, m: tuple[int, ...]) -> float:
         """Linear spectrum: E(m) = sum_j m_j lambda_j."""
         return math.fsum(mj * lj for mj, lj in zip(m, self.lam))

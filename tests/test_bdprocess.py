@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import all_instances, instance
+from mvmeixner import bdprocess
 from mvmeixner.bdprocess import (
     ComparisonReport,
+    _spectral_column,
     chapman_kolmogorov_check,
     compare_sim_spectral,
     completeness_residual,
@@ -16,12 +18,21 @@ from mvmeixner.bdprocess import (
     phi_hat,
     phi_matrix,
     simulate,
+    transition_matrix,
     transition_prob,
     wbar,
     wbar_total,
 )
 from mvmeixner.errors import NegativeTime, TailTooLarge
-from mvmeixner.model import ModelParams, enumerate_lattice, weight, weight_vector
+from mvmeixner.model import (
+    ModelParams,
+    compositions,
+    enumerate_lattice,
+    lattice_index,
+    weight,
+    weight_vector,
+)
+from mvmeixner.polynomials import meixner_eval
 from mvmeixner.operators import birth_rate, death_rate
 from mvmeixner.model import unit_shift
 from mvmeixner.spectral import SpectralData, solve
@@ -219,6 +230,54 @@ class TestChapmanKolmogorov:
         p, sd = instance(1, 1.0)
         out = chapman_kolmogorov_check(p, sd, (2,), (1,), 0.3, 0.0, 40, 25)
         assert out["residual"] <= 1e-8
+
+
+class TestKernelViews:
+    """Rows, columns and entries read from one kernel match the dense matrix."""
+
+    # the verify report's Chapman-Kolmogorov sizes
+    @pytest.mark.parametrize(
+        "n,x,y,S,M", [(1, (2,), (1,), 40, 25), (2, (1, 0), (0, 1), 25, 12)]
+    )
+    def test_views_match_dense_matrix(self, n, x, y, S, M):
+        p, sd = instance(n, 1.5)
+        t, tp = 0.3, 0.2
+        idx = lattice_index(p.n, S)
+        ix, iy = idx[x], idx[y]
+        Tt = transition_matrix(p, sd, t, M, S)
+        Tp = transition_matrix(p, sd, tp, M, S)
+        direct = transition_matrix(p, sd, t + tp, M, S)[ix, iy]
+
+        ck = chapman_kolmogorov_check(p, sd, x, y, t, tp, S, M)
+        assert abs(ck["direct"] - direct) <= 1e-14
+        assert abs(ck["composed"] - Tt[ix] @ Tp[:, iy]) <= 1e-14
+        shell = weight(p, x) * math.fsum(
+            abs(wbar(p, sd, m) * math.exp(-sd.energy(m) * (t + tp))
+                * meixner_eval(p, sd, m, x) * meixner_eval(p, sd, m, y))
+            for m in compositions(M, p.n)
+        )
+        assert ck["top_shell_contribution"] == pytest.approx(shell, rel=1e-10, abs=0.0)
+
+        defect = conservation_defect(p, sd, y, tp, M, S)
+        assert abs(defect - abs(1.0 - Tp[:, iy].sum())) <= 1e-14
+
+        col, lat = _spectral_column(p, sd, y, tp, M, S)
+        S_col = sum(lat[-1])
+        dense = transition_matrix(p, sd, tp, M, S_col)[:, lattice_index(p.n, S_col)[y]]
+        assert np.abs(col - dense).max() <= 1e-14
+
+    def test_chapman_kolmogorov_builds_one_table(self, monkeypatch):
+        calls = []
+        real = bdprocess.poly_table
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bdprocess, "poly_table", counting)
+        p, sd = instance(2, 1.5)
+        chapman_kolmogorov_check(p, sd, (1, 0), (0, 1), 0.3, 0.3, 25, 12)
+        assert len(calls) == 1
 
 
 class TestSimulate:

@@ -1,4 +1,4 @@
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from mvmeixner.errors import DegreeCapExceeded
 from mvmeixner.model import ModelParams, compositions_upto, enumerate_lattice
 from mvmeixner.polynomials import (
     TruncatedSeries,
-    coefficient_matrices,
     genfun_all,
     genfun_eval,
     meixner_1d,
@@ -17,28 +16,6 @@ from mvmeixner.polynomials import (
     poly_values,
 )
 from mvmeixner.spectral import SpectralData
-
-
-class TestMatrixIterator:
-    def test_column_bounds_respected(self):
-        m = (2, 1)
-        for mat in coefficient_matrices(m):
-            col_sums = [sum(mat[i][j] for i in range(2)) for j in range(2)]
-            assert all(s <= mj for s, mj in zip(col_sums, m))
-
-    def test_row_bounds_respected(self):
-        m, x = (2, 2), (1, 0)
-        for mat in coefficient_matrices(m, x):
-            row_sums = [sum(row) for row in mat]
-            assert all(r <= xi for r, xi in zip(row_sums, x))
-
-    def test_visit_count_bound(self):
-        # without row bounds the count is exactly prod_j C(m_j + n, n)
-        m = (2, 3)
-        count = sum(1 for _ in coefficient_matrices(m))
-        assert count == math.comb(2 + 2, 2) * math.comb(3 + 2, 2)
-        bounded = sum(1 for _ in coefficient_matrices(m, (1, 1)))
-        assert bounded < count
 
 
 class TestMeixnerEval:
@@ -118,6 +95,68 @@ class TestMeixnerEval:
             assert b == pytest.approx(a, rel=1e-10, abs=1e-10)
 
 
+def _matrix_terms_mp(mp, beta, u, m):
+    """Every n-by-n matrix with column sums <= m as (row sums, its term of the
+    matrix sum without the (-x_i)_{r_i} factors), in mpmath arithmetic on
+    the float u."""
+    n = len(m)
+    columns = []
+    for j in range(n):
+        options = []
+        for col in itertools.product(range(m[j] + 1), repeat=n):
+            if sum(col) > m[j]:
+                continue
+            fac = mp.rf(-m[j], sum(col))
+            for i in range(n):
+                fac *= mp.mpf(u[i][j]) ** col[i] / mp.factorial(col[i])
+            options.append((col, fac))
+        columns.append(options)
+    terms = []
+    for choice in itertools.product(*columns):
+        rows = tuple(sum(col[i] for col, _ in choice) for i in range(n))
+        fac = mp.fprod(f for _, f in choice)
+        terms.append((rows, fac / mp.rf(mp.mpf(beta), sum(rows))))
+    return terms
+
+
+class TestHighPrecisionOracle:
+    """meixner_eval against the matrix sum in 60-digit arithmetic at degree 8
+    and |x| up to 50, where the alternating terms cancel heavily."""
+
+    M2 = ((4, 4), (6, 2), (8, 0), (3, 5))
+    X2 = ((10, 10), (20, 5), (25, 25), (0, 30))
+    M3 = ((3, 3, 2), (4, 2, 2), (8, 0, 0), (2, 3, 3))
+    X3 = ((10, 10, 10), (20, 5, 5), (25, 25, 0), (0, 30, 2))
+
+    @pytest.mark.parametrize(
+        "beta,c,ms,xs",
+        [
+            (1.5, (0.2, 0.3), M2, X2),
+            (0.4, (0.05, 0.8), M2, X2),
+            (3.0, (0.1, 0.15, 0.2), M3, X3),
+        ],
+        ids=["n2-beta1.5", "n2-beta0.4", "n3-beta3"],
+    )
+    def test_high_degree_large_x(self, beta, c, ms, xs):
+        mp = pytest.importorskip("mpmath")
+        from mvmeixner.spectral import solve
+
+        p = ModelParams(beta, c)
+        sd = solve(p)
+        with mp.workdps(60):
+            for m in ms:
+                terms = _matrix_terms_mp(mp, beta, sd.u, m)
+                for x in xs:
+                    poch = [[mp.rf(-xi, k) for k in range(sum(m) + 1)] for xi in x]
+                    exact = mp.fsum(
+                        fac * mp.fprod(poch[i][r] for i, r in enumerate(rows))
+                        for rows, fac in terms
+                    )
+                    got = meixner_eval(p, sd, m, x)
+                    err = float(abs(mp.mpf(got) - exact))
+                    assert err <= 1e-11 * (1.0 + float(abs(exact))), (m, x, got, exact)
+
+
 class TestGenfunOracle:
     def test_oracle_equivalence_sweep(self):
         for p, sd in all_instances():
@@ -167,12 +206,6 @@ class TestTruncatedSeries:
         expect = TruncatedSeries.geometric_power(g - 1, 2, 5)
         for k in expect.coeffs:
             assert prod.coefficient(k) == pytest.approx(expect.coeffs[k], rel=1e-12, abs=1e-12)
-
-    def test_add_and_scale(self):
-        a = TruncatedSeries.constant(2.0, 2, 3)
-        b = TruncatedSeries.affine_power((0.5, 0.25), 2, 2, 3)
-        s = a + b.scale(-1.0)
-        assert s.coefficient((0, 0)) == pytest.approx(1.0)
 
     def test_coefficient_beyond_cap(self):
         a = TruncatedSeries.geometric_power(1.0, 1, 3)
