@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
 
 from .errors import NegativeTime, TailTooLarge
 from .model import (
@@ -31,7 +30,7 @@ from .model import (
     weight,
     weight_vector,
 )
-from .polynomials import meixner_eval, poly_table
+from .polynomials import meixner_eval, poly_table, poly_values
 from .spectral import SpectralData
 
 # Simulator limits and comparison hygiene.
@@ -174,11 +173,25 @@ def choose_orthogonality_S(
     step: int = 10,
     max_S: int = 400,
 ) -> int:
-    """Smallest tried S with tail_bound(S) * max|P|^2 <= tail_eps."""
+    """Smallest tried S with tail_bound(S) * max|P|^2 <= tail_eps.
+
+    max|P| over |x| <= S is kept as a running maximum: each step evaluates
+    only the new shells S_prev < |x| <= S, and poly_values works point by
+    point, so every step sees the same values a full table would hold.
+    """
+    m_list = compositions_upto(max_deg, p.n)
+    max_p = 0.0
+    done = -1  # shells |x| <= done are already in max_p
     S = start
     while S <= max_S:
-        table = poly_table(p, sd, max_deg, S)
-        max_p = float(np.abs(table.values).max())
+        X = np.array(
+            [x for s in range(done + 1, S + 1) for x in compositions(s, p.n)],
+            dtype=int,
+        )
+        for m in m_list:
+            # np.maximum, unlike max(), keeps a NaN
+            max_p = float(np.maximum(max_p, np.abs(poly_values(p, sd, m, X)).max()))
+        done = S
         if tail_bound(p, S) * max_p**2 <= tail_eps:
             return S
         S += step
@@ -240,8 +253,8 @@ def moment_check(p: ModelParams, S: int | None = None) -> dict[str, float]:
 
 @dataclass
 class TransitionReport:
-    """One (x, y, t) spectral evaluation; simulated fields filled by the
-    simulator comparison when available."""
+    """One (x, y, t) spectral evaluation in the phi and the reduced form,
+    with the gap between the two."""
 
     x: MultiIndex
     y: MultiIndex
@@ -251,8 +264,6 @@ class TransitionReport:
     reduced_value: float
     forms_gap: float
     nonnegative: bool
-    simulated_value: float | None = None
-    simulated_stderr: float | None = None
 
 
 def choose_spectral_cutoff(
@@ -563,6 +574,9 @@ def compare_sim_spectral(
     """Per-state z-scores against the spectral row T(x0, .; t), plus a
     chi-square over the states whose expected count reaches pool_expected
     (everything below pools into one remainder cell)."""
+    # imported here to keep scipy out of the package import
+    from scipy import special
+
     N = sim.n_traj
     S = max(max((sum(s) for s in sim.counts), default=0), sum(sim.x0)) + 5
     probs, lat = _spectral_column(p, sd, sim.x0, sim.t, M, S)
@@ -599,7 +613,7 @@ def compare_sim_spectral(
         cells.append((rest_p, rest_n))
     stat = math.fsum((n_obs - N * pr) ** 2 / (N * pr) for pr, n_obs in cells)
     dof = max(len(cells) - 1, 1)
-    p_value = float(chi2_dist.sf(stat, dof))
+    p_value = float(special.chdtrc(dof, stat))
     return ComparisonReport(
         rows=rows,
         chi2=stat,

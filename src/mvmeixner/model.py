@@ -173,7 +173,26 @@ def weight(p: ModelParams, x: MultiIndex) -> float:
 
 
 def weight_vector(p: ModelParams, lattice: Sequence[MultiIndex]) -> np.ndarray:
-    return np.array([weight(p, x) for x in lattice])
+    """weight(p, x) at every x of the lattice, bit for bit.
+
+    The terms of log_weight depend on |x| or on one coordinate only, so they
+    are tabulated once with `math` and gathered by index; they are added in
+    log_weight's order and exponentiated by math.exp, whose rounding
+    numpy's exp does not always match.
+    """
+    X = np.asarray(lattice, dtype=np.int64).reshape(len(lattice), p.n)
+    if not len(X):
+        return np.array([])
+    S = X.sum(axis=1)
+    shell_term = p.beta * math.log1p(-p.c_mass)
+    out = np.array(
+        [log_shifted_factorial(p.beta, s) + shell_term for s in range(int(S.max()) + 1)]
+    )[S]
+    for i, ci in enumerate(p.c):
+        log_ci = math.log(ci)
+        coord = [k * log_ci - math.lgamma(k + 1) for k in range(int(X[:, i].max()) + 1)]
+        out += np.array(coord)[X[:, i]]
+    return np.array([math.exp(v) for v in out.tolist()])
 
 
 def tail_bound(p: ModelParams, S: int, max_terms: int = 100_000) -> float:

@@ -4,6 +4,9 @@ All three act on functions over the truncated lattice {|x| <= S} in
 graded-lex order.  Matrix couplings that would leave the truncation are
 dropped (soft truncation), so identities are asserted at interior points
 only; the infinite lattice has no boundary and we refuse to invent one.
+
+scipy.sparse is imported inside the functions that build sparse matrices,
+so that importing the package does not load scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SingularGenfun, TruncationBoundary
 from .model import (
@@ -116,6 +118,8 @@ def build_H(p: ModelParams, S: int) -> sp.csr_matrix:
     """Symmetric H on {|x| <= S}: diagonal sum_j (B_j + D_j), off-diagonal
     -sqrt(B_j(x) D_j(x+e_j)) at x <-> x+e_j.  Both triangle entries are
     written from the same float, so the result is bitwise symmetric."""
+    import scipy.sparse as sp
+
     lat = enumerate_lattice(p.n, S)
     idx = lattice_index(p.n, S)
     rows: list[int] = []
@@ -143,6 +147,8 @@ def build_H(p: ModelParams, S: int) -> sp.csr_matrix:
 def build_A(p: ModelParams, S: int, j: int) -> sp.csr_matrix:
     """Factor A_j on {|x| <= S}: A_j[x, x] = sqrt(B_j(x)),
     A_j[x, x+e_j] = -sqrt(D_j(x+e_j))."""
+    import scipy.sparse as sp
+
     lat = enumerate_lattice(p.n, S)
     idx = lattice_index(p.n, S)
     rows: list[int] = []
@@ -164,6 +170,8 @@ def build_A(p: ModelParams, S: int, j: int) -> sp.csr_matrix:
 def build_LBD(p: ModelParams, S: int) -> sp.csr_matrix:
     """Generator acting on distributions: (L P)(x) = -sum_j (B_j + D_j)(x) P(x)
     + sum_j B_j(x-e_j) P(x-e_j) + sum_j D_j(x+e_j) P(x+e_j), soft-truncated."""
+    import scipy.sparse as sp
+
     lat = enumerate_lattice(p.n, S)
     idx = lattice_index(p.n, S)
     rows: list[int] = []
@@ -202,6 +210,8 @@ def factorization_check(p: ModelParams, S: int) -> float:
     agreement is therefore a rounding-level check of the factorization, not
     a tautology.
     """
+    import scipy.sparse as sp
+
     H = build_H(p, S)
     acc = sum(
         (build_A(p, S, j).T @ build_A(p, S, j) for j in range(p.n)),

@@ -317,11 +317,12 @@ class PolyTable:
 
     def write_csv(self, path: str | Path) -> None:
         """Header row of x indices, first column of m indices, cells with 17
-        significant digits (round-trip exact for doubles)."""
-        lines = ["m\\x," + ",".join(_fmt_midx(x) for x in self.x_list)]
-        for m, row in zip(self.m_list, self.values):
-            lines.append(_fmt_midx(m) + "," + ",".join(f"{v:.17g}" for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        significant digits (round-trip exact for doubles), written one row at
+        a time so that only one line of text is held in memory."""
+        with Path(path).open("w") as fh:
+            fh.write("m\\x," + ",".join(_fmt_midx(x) for x in self.x_list) + "\n")
+            for m, row in zip(self.m_list, self.values):
+                fh.write(_fmt_midx(m) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _fmt_midx(m: MultiIndex) -> str:

@@ -32,7 +32,7 @@ from mvmeixner.model import (
     weight,
     weight_vector,
 )
-from mvmeixner.polynomials import meixner_eval
+from mvmeixner.polynomials import meixner_eval, poly_table
 from mvmeixner.operators import birth_rate, death_rate
 from mvmeixner.model import unit_shift
 from mvmeixner.spectral import SpectralData, solve
@@ -103,6 +103,28 @@ class TestOrthogonality:
         p, sd = instance(2, 1.5)
         with pytest.raises(TailTooLarge):
             orthogonality_check(p, sd, 3, 6, tail_eps=1e-10)
+
+    # the desk config's verify search (start=S=30, max_deg 3) and its n=3 variant
+    @pytest.mark.parametrize("c", [(0.2, 0.3), (0.1, 0.15, 0.2)])
+    def test_choose_S_matches_full_tables(self, c, monkeypatch):
+        p = ModelParams(1.5, c)
+        sd = solve(p)
+        tail_eps = 1e-8
+
+        def reference_S(start=30, step=10, max_S=400):
+            for S in range(start, max_S + 1, step):
+                max_p = float(np.abs(poly_table(p, sd, 3, S).values).max())
+                if bdprocess.tail_bound(p, S) * max_p**2 <= tail_eps:
+                    return S
+            raise TailTooLarge("no S")
+
+        expected = reference_S()
+        calls = []
+        monkeypatch.setattr(
+            bdprocess, "poly_table", lambda *a: calls.append(a) or poly_table(*a)
+        )
+        assert choose_orthogonality_S(p, sd, 3, tail_eps, start=30) == expected
+        assert calls == []
 
     def test_corrupted_u_detected(self):
         # a 1e-3 perturbation of one u entry must break orthogonality visibly
@@ -306,6 +328,15 @@ class TestSimulate:
         freqs = math.fsum(r.frequency for r in rep.rows)
         assert freqs == pytest.approx(1.0, abs=1e-9)
 
+    def test_p_value_is_chi2_upper_tail(self):
+        from scipy.stats import chi2
+
+        p, sd = instance(2, 1.5)
+        sim = simulate(p, (1, 0), 0.5, 3, 2000)
+        rep = compare_sim_spectral(p, sd, sim, 10)
+        assert rep.dof > 1
+        assert rep.p_value == float(chi2.sf(rep.chi2, rep.dof))
+
     def test_long_time_matches_stationary(self):
         p = ModelParams(1.0, (0.4,))
         sd = solve(p)
@@ -315,3 +346,16 @@ class TestSimulate:
             if row.z is not None:
                 assert abs(row.spectral - weight(p, row.state)) <= 1e-6
         assert rep.p_value > 1e-3
+
+
+def test_chdtrc_is_bitwise_chi2_sf():
+    # compare_sim_spectral computes its p-value with chdtrc to avoid
+    # importing scipy.stats; the two must agree to the last bit
+    from scipy.special import chdtrc
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(20)
+    dof = rng.integers(1, 400, size=20_000)
+    x = dof * rng.uniform(0.0, 3.0, size=dof.size)
+    x[::7] = rng.uniform(0.0, 1e-3, size=x[::7].size)
+    assert np.array_equal(chdtrc(dof, x), chi2.sf(x, dof))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mvmeixner
 from mvmeixner.cli import (
     EXIT_DEGENERATE,
     EXIT_INVALID,
@@ -181,3 +186,21 @@ class TestSimulateCommand:
         assert "generator=philox" in lines[-1]
         counts = sum(int(l.split(",")[1]) for l in lines[1:-1])
         assert counts == 2000
+
+
+class TestColdImport:
+    @pytest.mark.parametrize("module", ["mvmeixner", "mvmeixner.cli"])
+    def test_import_loads_no_scipy(self, module):
+        # scipy costs about a second per cold process; only verify
+        # (scipy.sparse) and simulate (scipy.special) may load it
+        src = str(Path(mvmeixner.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        code = (
+            f"import sys, {module}; "
+            "print(sorted(k for k in sys.modules if k.partition('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

@@ -126,6 +126,19 @@ class TestWeight:
         assert tr.tail == tail_bound(p, 12)
         assert tr.tail > LatticeTruncation.for_params(p, 13).tail
 
+    @pytest.mark.parametrize("c", [(0.5,), (0.2, 0.3), (0.1, 0.15, 0.2)])
+    def test_weight_vector_is_pointwise_weight(self, c):
+        # past |x| ~ 170 (beta)_{|x|} overflows outside log space
+        p = ModelParams(1.5, c)
+        lat = enumerate_lattice(p.n, 250 if p.n < 3 else 20)
+        rng = np.random.default_rng(len(c))
+        for s in rng.integers(171, 260, size=300).tolist():
+            cut = np.sort(rng.integers(0, s + 1, size=p.n - 1))
+            lat.append(tuple(int(v) for v in np.diff(np.concatenate(([0], cut, [s])))))
+        expected = np.array([weight(p, x) for x in lat])
+        assert np.array_equal(weight_vector(p, lat), expected)
+        assert expected[-1] > 0.0
+
     def test_log_weight_consistency(self):
         p = ModelParams(1.5, (0.2, 0.3))
         w = weight(p, (3, 2))
