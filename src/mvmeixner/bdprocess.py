@@ -24,7 +24,6 @@ from .model import (
     compositions_upto,
     enumerate_lattice,
     lattice_index,
-    log_shifted_factorial,
     shifted_factorial,
     tail_bound,
     weight,
@@ -37,6 +36,18 @@ from .spectral import SpectralData
 MAX_EVENTS_PER_TRAJECTORY = 1_000_000
 POOL_EXPECTED_COUNT = 5.0
 RNG_NAME = "philox"
+
+# Truncation searches: the S step and cap of choose_orthogonality_S, the
+# bound on the omitted second moment and the S cap of moment_check, the shell
+# bound and M cap of choose_spectral_cutoff, and the mass defect at which
+# _spectral_column stops growing S.
+_ORTH_S_STEP = 10
+_ORTH_MAX_S = 400
+_MOMENT_TAIL_EPS = 1e-13
+_MOMENT_MAX_S = 400
+_SPECTRAL_CUTOFF_EPS = 1e-10
+_MAX_SPECTRAL_M = 200
+_COLUMN_MASS_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +181,6 @@ def choose_orthogonality_S(
     max_deg: int,
     tail_eps: float = 1e-8,
     start: int = 20,
-    step: int = 10,
-    max_S: int = 400,
 ) -> int:
     """Smallest tried S with tail_bound(S) * max|P|^2 <= tail_eps.
 
@@ -183,7 +192,7 @@ def choose_orthogonality_S(
     max_p = 0.0
     done = -1  # shells |x| <= done are already in max_p
     S = start
-    while S <= max_S:
+    while S <= _ORTH_MAX_S:
         X = np.array(
             [x for s in range(done + 1, S + 1) for x in compositions(s, p.n)],
             dtype=int,
@@ -194,38 +203,27 @@ def choose_orthogonality_S(
         done = S
         if tail_bound(p, S) * max_p**2 <= tail_eps:
             return S
-        S += step
-    raise TailTooLarge(f"no S <= {max_S} reaches tail target {tail_eps:.1e}")
-
-
-def tail_moment_bound(p: ModelParams, S: int, power: int) -> float:
-    """sum_{s > S} s^power * (beta)_s |c|^s / s! * (1-|c|)^beta."""
-    q = p.c_mass
-    s = S + 1
-    log_term = (
-        log_shifted_factorial(p.beta, s)
-        + s * math.log(q)
-        - math.lgamma(s + 1)
-        + p.beta * math.log1p(-q)
-    )
-    term = math.exp(log_term)
-    total = 0.0
-    for _ in range(200_000):
-        total += term * s**power
-        term *= (p.beta + s) * q / (s + 1)
-        s += 1
-        if term * s**power <= total * 1e-17 or term < 5e-324:
-            break
-    return total
+        S += _ORTH_S_STEP
+    raise TailTooLarge(f"no S <= {_ORTH_MAX_S} reaches tail target {tail_eps:.1e}")
 
 
 def moment_check(p: ModelParams, S: int | None = None) -> dict[str, float]:
     """First and second moments of W by direct lattice summation against the
     closed forms c_j beta/(1-|c|) and beta(beta+1)c_j c_k/(1-|c|)^2 (+ the
-    diagonal correction)."""
+    diagonal correction).
+
+    With S=None, S is the first of 20, 40, ... whose omitted second moment
+    tail_bound(S, 2) is at most _MOMENT_TAIL_EPS; TailTooLarge if none up to
+    _MOMENT_MAX_S is.
+    """
     if S is None:
         S = 20
-        while tail_moment_bound(p, S, 2) > 1e-13 and S < 400:
+        while (tail := tail_bound(p, S, 2)) > _MOMENT_TAIL_EPS:
+            if S >= _MOMENT_MAX_S:
+                raise TailTooLarge(
+                    f"omitted second moment {tail:.3e} > {_MOMENT_TAIL_EPS:.0e} "
+                    f"at S={S}; no S <= {_MOMENT_MAX_S} reaches it"
+                )
             S += 20
     lat = enumerate_lattice(p.n, S)
     w = weight_vector(p, lat)
@@ -272,10 +270,9 @@ def choose_spectral_cutoff(
     x: MultiIndex,
     y: MultiIndex,
     t: float,
-    eps: float = 1e-10,
-    max_M: int = 200,
 ) -> int:
-    """Smallest degree cutoff whose next shell is provably below eps.
+    """Smallest degree cutoff whose next shell is provably below
+    _SPECTRAL_CUTOFF_EPS, capped at _MAX_SPECTRAL_M.
 
     Shell |m| = M contributes at most sqrt(W(x)/W(y)) * exp(-lam_min M t) by
     orthonormality (shell sums of phi products are bounded by 1), so the
@@ -285,7 +282,10 @@ def choose_spectral_cutoff(
         raise NegativeTime(f"adaptive cutoff needs t > 0, got {t}")
     prefactor = math.exp(0.5 * (math.log(weight(p, x)) - math.log(weight(p, y))))
     M = 1
-    while M < max_M and prefactor * math.exp(-sd.lam[0] * M * t) >= eps:
+    while (
+        M < _MAX_SPECTRAL_M
+        and prefactor * math.exp(-sd.lam[0] * M * t) >= _SPECTRAL_CUTOFF_EPS
+    ):
         M += 1
     return M
 
@@ -516,7 +516,6 @@ def simulate(
     t: float,
     seed: int,
     n_traj: int,
-    max_events: int = MAX_EVENTS_PER_TRAJECTORY,
 ) -> SimulationResult:
     """n_traj independent exact-jump trajectories of the chain with rates
     B_j = beta+|x|, D_j = x_j/c_j, each run to time t.
@@ -531,7 +530,7 @@ def simulate(
     cap_hits = 0
     for i in range(n_traj):
         rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        state, capped = _run_trajectory(p, x0, t, rng, max_events)
+        state, capped = _run_trajectory(p, x0, t, rng, MAX_EVENTS_PER_TRAJECTORY)
         counts[state] += 1
         cap_hits += capped
     return SimulationResult(
@@ -569,11 +568,10 @@ def compare_sim_spectral(
     sd: SpectralData,
     sim: SimulationResult,
     M: int,
-    pool_expected: float = POOL_EXPECTED_COUNT,
 ) -> ComparisonReport:
     """Per-state z-scores against the spectral row T(x0, .; t), plus a
-    chi-square over the states whose expected count reaches pool_expected
-    (everything below pools into one remainder cell)."""
+    chi-square over the states whose expected count reaches
+    POOL_EXPECTED_COUNT (everything below pools into one remainder cell)."""
     # imported here to keep scipy out of the package import
     from scipy import special
 
@@ -589,11 +587,11 @@ def compare_sim_spectral(
     for s, prob in zip(lat, probs):
         prob = max(float(prob), 0.0)
         count = sim.counts.get(s, 0)
-        if count == 0 and N * prob < pool_expected:
+        if count == 0 and N * prob < POOL_EXPECTED_COUNT:
             continue
         freq = count / N
         stderr = math.sqrt(max(freq * (1.0 - freq), 0.0) / N)
-        if N * prob >= pool_expected:
+        if N * prob >= POOL_EXPECTED_COUNT:
             z = (freq - prob) / math.sqrt(prob * (1.0 - prob) / N)
             cells.append((prob, count))
             covered_p += prob
@@ -632,10 +630,9 @@ def _spectral_column(
     t: float,
     M: int,
     S: int,
-    mass_tol: float = 1e-8,
 ) -> tuple[np.ndarray, list[MultiIndex]]:
     """Distribution T(., x0; t) over {|x| <= S}, growing S by 10 until the
-    column sums to 1 within mass_tol or S reaches 120.
+    column sums to 1 within _COLUMN_MASS_TOL or S reaches 120.
 
     The sum over the whole lattice is exactly 1 for every M (orthogonality
     to P_0), so the mass test closes only the escape from |x| <= S; it is
@@ -643,6 +640,6 @@ def _spectral_column(
     """
     while True:
         col = _SpectralKernel(p, sd, M, S).column(x0, t)
-        if abs(1.0 - float(col.sum())) <= mass_tol or S >= 120:
+        if abs(1.0 - float(col.sum())) <= _COLUMN_MASS_TOL or S >= 120:
             return col, enumerate_lattice(p.n, S)
         S += 10

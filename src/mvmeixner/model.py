@@ -21,6 +21,9 @@ from .errors import CMassNotBelowOne, NonPositiveBeta, NonPositiveC
 # secular equation, so they are treated as coincident.
 DEGENERACY_RTOL = 1e-12
 
+# Cap on the number of terms tail_bound sums.
+_TAIL_MAX_TERMS = 100_000
+
 MultiIndex = tuple[int, ...]
 
 
@@ -195,13 +198,14 @@ def weight_vector(p: ModelParams, lattice: Sequence[MultiIndex]) -> np.ndarray:
     return np.array([math.exp(v) for v in out.tolist()])
 
 
-def tail_bound(p: ModelParams, S: int, max_terms: int = 100_000) -> float:
-    """Mass of the weight outside |x| <= S.
+def tail_bound(p: ModelParams, S: int, power: int = 0) -> float:
+    """Omitted moment sum_{|x| > S} |x|^power W(x); power 0 is the mass of the
+    weight outside |x| <= S.
 
     The multinomial identity collapses the shell sum over |x| = s to
-    (beta)_s |c|^s / s!, so the omitted mass is exactly the scalar series
-    sum_{s>S} (beta)_s |c|^s / s! * (1-|c|)^beta, summed here with ratio
-    recursion until terms stop contributing at machine accuracy.
+    rho(s) = (beta)_s |c|^s / s! * (1-|c|)^beta, so this is the scalar series
+    sum_{s>S} s^power rho(s), summed here with ratio recursion until terms
+    stop contributing at machine accuracy; the first omitted term is added.
     """
     if S < 0:
         raise ValueError(f"S must be >= 0, got {S}")
@@ -215,13 +219,13 @@ def tail_bound(p: ModelParams, S: int, max_terms: int = 100_000) -> float:
     term = math.exp(log_first)
     total = 0.0
     s = S + 1
-    for _ in range(max_terms):
-        total += term
+    for _ in range(_TAIL_MAX_TERMS):
+        total += term * s**power
         term *= (p.beta + s) * q / (s + 1)
         s += 1
-        if term <= total * 1e-17 or term < 5e-324:
+        if term * s**power <= total * 1e-17 or term < 5e-324:
             break
-    return total + term
+    return total + term * s**power
 
 
 @dataclass(frozen=True)

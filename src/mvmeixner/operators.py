@@ -5,6 +5,13 @@ graded-lex order.  Matrix couplings that would leave the truncation are
 dropped (soft truncation), so identities are asserted at interior points
 only; the infinite lattice has no boundary and we refuse to invent one.
 
+The process moves x only to x +- e_j.  `_couplings` lists every such pair
+x <-> x+e_j inside the truncation once, with the rates B(x) and D_j(x) over
+the lattice, and `build_H`, `build_A` and `build_LBD` are array expressions
+over that one list.  H-tilde is written once, in `_htilde`, which reads
+values through a callable: `apply_Htilde` hands it a tabulated lattice
+function, the generating-function identity the closed form G(x; t).
+
 scipy.sparse is imported inside the functions that build sparse matrices,
 so that importing the package does not load scipy.
 """
@@ -22,7 +29,6 @@ from .model import (
     ModelParams,
     MultiIndex,
     enumerate_lattice,
-    lattice_index,
     unit_shift,
     weight_vector,
 )
@@ -68,25 +74,33 @@ def poly_lattice_function(
     return LatticeFunction(S=S, values=dict(zip(lat, vals.tolist())))
 
 
-def apply_Htilde(p: ModelParams, f: LatticeFunction, x: MultiIndex) -> float:
+def _htilde(
+    p: ModelParams, x: MultiIndex, f: Callable[[MultiIndex], float]
+) -> float:
     """(H-tilde f)(x) = (beta+|x|) sum_j (f(x) - f(x+e_j))
                        + sum_j (x_j/c_j) (f(x) - f(x-e_j)).
 
-    Needs every x+e_j inside the truncation; the x_j = 0 death term
-    contributes nothing, so the lattice boundary at zero is automatic.
+    The x_j = 0 death term contributes nothing, so the lattice boundary at
+    zero is automatic.
     """
+    fx = f(x)
+    b = birth_rate(p, x)
+    out = 0.0
+    for j in range(p.n):
+        out += b * (fx - f(unit_shift(x, j, +1)))
+        if x[j]:
+            out += death_rate(p, x, j) * (fx - f(unit_shift(x, j, -1)))
+    return out
+
+
+def apply_Htilde(p: ModelParams, f: LatticeFunction, x: MultiIndex) -> float:
+    """(H-tilde f)(x) for f tabulated on {|x| <= S}; needs every x+e_j
+    inside the truncation."""
     if sum(x) + 1 > f.S:
         raise TruncationBoundary(
             f"x={x} has |x|+1 > S={f.S}; apply at interior points only"
         )
-    fx = f[x]
-    b = birth_rate(p, x)
-    out = 0.0
-    for j in range(p.n):
-        out += b * (fx - f[unit_shift(x, j, +1)])
-        if x[j]:
-            out += (x[j] / p.c[j]) * (fx - f[unit_shift(x, j, -1)])
-    return out
+    return _htilde(p, x, f.__getitem__)
 
 
 def eigen_check(
@@ -114,88 +128,83 @@ def eigen_check(
 # matrix realizations on the truncated lattice
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Couplings:
+    """Every coupling x <-> x+e_j inside {|x| <= S}, listed once as lattice
+    positions a (of x) and b (of x+e_j) with direction j, and the rates over
+    the lattice: birth[x] = B(x), death[x, j] = D_j(x) and out_rate[x] =
+    sum_j (B + D_j)(x), summed with math.fsum."""
+
+    a: np.ndarray
+    b: np.ndarray
+    j: np.ndarray
+    birth: np.ndarray
+    death: np.ndarray
+    out_rate: np.ndarray
+
+
+def _couplings(p: ModelParams, S: int) -> _Couplings:
+    X = np.array(enumerate_lattice(p.n, S), dtype=np.int64).reshape(-1, p.n)
+    total = X.sum(axis=1)
+    birth = p.beta + total
+    death = X / np.asarray(p.c)
+    out_rate = np.array(
+        [math.fsum(row) for row in (birth[:, None] + death).tolist()]
+    )
+    # x+e_j is found by its mixed-radix key, key(x) + (S+1)^j; the keys are
+    # Python ints where int64 would wrap
+    wide = (S + 1) ** p.n > np.iinfo(np.int64).max
+    radix = np.array(
+        [(S + 1) ** i for i in range(p.n)], dtype=object if wide else np.int64
+    )
+    key = X @ radix
+    order = np.argsort(key)
+    inner = np.flatnonzero(total < S)
+    a = np.repeat(inner, p.n)
+    j = np.tile(np.arange(p.n), len(inner))
+    b = order[np.searchsorted(key, key[a] + radix[j], sorter=order)]
+    return _Couplings(a, b, j, birth, death, out_rate)
+
+
+def _csr(
+    diagonal: np.ndarray, *parts: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> sp.csr_matrix:
+    """Square CSR matrix with this diagonal and the off-diagonal
+    (rows, cols, values) parts; no position may repeat."""
+    import scipy.sparse as sp
+
+    size = len(diagonal)
+    diag = np.arange(size)
+    rows, cols, vals = (
+        np.concatenate(k) for k in zip((diag, diag, diagonal), *parts)
+    )
+    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+
+
 def build_H(p: ModelParams, S: int) -> sp.csr_matrix:
     """Symmetric H on {|x| <= S}: diagonal sum_j (B_j + D_j), off-diagonal
     -sqrt(B_j(x) D_j(x+e_j)) at x <-> x+e_j.  Both triangle entries are
     written from the same float, so the result is bitwise symmetric."""
-    import scipy.sparse as sp
-
-    lat = enumerate_lattice(p.n, S)
-    idx = lattice_index(p.n, S)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, x in enumerate(lat):
-        diag = math.fsum(
-            birth_rate(p, x) + death_rate(p, x, j) for j in range(p.n)
-        )
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag)
-        if sum(x) + 1 <= S:
-            for j in range(p.n):
-                y = unit_shift(x, j, +1)
-                v = -math.sqrt(birth_rate(p, x) * death_rate(p, y, j))
-                k = idx[y]
-                rows.extend((i, k))
-                cols.extend((k, i))
-                vals.extend((v, v))
-    size = len(lat)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    k = _couplings(p, S)
+    v = -np.sqrt(k.birth[k.a] * k.death[k.b, k.j])
+    return _csr(k.out_rate, (k.a, k.b, v), (k.b, k.a, v))
 
 
 def build_A(p: ModelParams, S: int, j: int) -> sp.csr_matrix:
     """Factor A_j on {|x| <= S}: A_j[x, x] = sqrt(B_j(x)),
     A_j[x, x+e_j] = -sqrt(D_j(x+e_j))."""
-    import scipy.sparse as sp
-
-    lat = enumerate_lattice(p.n, S)
-    idx = lattice_index(p.n, S)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, x in enumerate(lat):
-        rows.append(i)
-        cols.append(i)
-        vals.append(math.sqrt(birth_rate(p, x)))
-        if sum(x) + 1 <= S:
-            y = unit_shift(x, j, +1)
-            rows.append(i)
-            cols.append(idx[y])
-            vals.append(-math.sqrt(death_rate(p, y, j)))
-    size = len(lat)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    k = _couplings(p, S)
+    a, b = k.a[k.j == j], k.b[k.j == j]
+    return _csr(np.sqrt(k.birth), (a, b, -np.sqrt(k.death[b, j])))
 
 
 def build_LBD(p: ModelParams, S: int) -> sp.csr_matrix:
     """Generator acting on distributions: (L P)(x) = -sum_j (B_j + D_j)(x) P(x)
     + sum_j B_j(x-e_j) P(x-e_j) + sum_j D_j(x+e_j) P(x+e_j), soft-truncated."""
-    import scipy.sparse as sp
-
-    lat = enumerate_lattice(p.n, S)
-    idx = lattice_index(p.n, S)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, x in enumerate(lat):
-        rows.append(i)
-        cols.append(i)
-        vals.append(
-            -math.fsum(birth_rate(p, x) + death_rate(p, x, j) for j in range(p.n))
-        )
-        for j in range(p.n):
-            if x[j]:
-                y = unit_shift(x, j, -1)
-                rows.append(i)
-                cols.append(idx[y])
-                vals.append(birth_rate(p, y))
-            if sum(x) + 1 <= S:
-                y = unit_shift(x, j, +1)
-                rows.append(i)
-                cols.append(idx[y])
-                vals.append(death_rate(p, y, j))
-    size = len(lat)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    k = _couplings(p, S)
+    return _csr(
+        -k.out_rate, (k.b, k.a, k.birth[k.a]), (k.a, k.b, k.death[k.b, k.j])
+    )
 
 
 def interior_mask(n: int, S: int) -> np.ndarray:
@@ -213,10 +222,10 @@ def factorization_check(p: ModelParams, S: int) -> float:
     import scipy.sparse as sp
 
     H = build_H(p, S)
-    acc = sum(
-        (build_A(p, S, j).T @ build_A(p, S, j) for j in range(p.n)),
-        start=sp.csr_matrix(H.shape),
-    )
+    acc = sp.csr_matrix(H.shape)
+    for j in range(p.n):
+        A = build_A(p, S, j)
+        acc = acc + A.T @ A
     diff = (H - acc).toarray()
     return float(np.abs(diff[interior_mask(p.n, S)]).max())
 
@@ -278,21 +287,6 @@ def genfun_value(
     return value
 
 
-def _htilde_on_genfun(
-    p: ModelParams, sd: SpectralData, x: MultiIndex, t: Sequence[float]
-) -> float:
-    gx = genfun_value(p, sd, x, t)
-    b = p.beta + sum(x)
-    out = 0.0
-    for j in range(p.n):
-        out += b * (gx - genfun_value(p, sd, unit_shift(x, j, +1), t))
-        if x[j]:
-            out += (x[j] / p.c[j]) * (
-                gx - genfun_value(p, sd, unit_shift(x, j, -1), t)
-            )
-    return out
-
-
 def _scaling_deriv_fd(
     p: ModelParams, sd: SpectralData, x: MultiIndex, t: Sequence[float], h: float
 ) -> float:
@@ -323,7 +317,7 @@ def genfun_identity_check(
     the right side is a finite-difference derivative in t, so the residual
     is O(h^2) when the identity holds.
     """
-    lhs = _htilde_on_genfun(p, sd, x, t)
+    lhs = _htilde(p, x, lambda y: genfun_value(p, sd, y, t))
     rhs = _scaling_deriv_fd(p, sd, x, t, h)
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
@@ -337,7 +331,7 @@ def genfun_identity_richardson(
 ) -> dict[str, float]:
     """genfun_identity_check at h and h/2 plus the Richardson-extrapolated
     derivative; residual_h / residual_h2 near 4 confirms the O(h^2) scaling."""
-    lhs = _htilde_on_genfun(p, sd, x, t)
+    lhs = _htilde(p, x, lambda y: genfun_value(p, sd, y, t))
     rhs_h = _scaling_deriv_fd(p, sd, x, t, h)
     rhs_h2 = _scaling_deriv_fd(p, sd, x, t, h / 2)
     rich = (4.0 * rhs_h2 - rhs_h) / 3.0

@@ -150,6 +150,13 @@ class TestMoments:
         assert lat_S["mean"] <= 1e-8
         assert lat_S["second"] <= 1e-8
 
+    def test_search_that_misses_its_bound_raises(self):
+        # |c| = 0.97: no S <= 400 brings the omitted second moment to 1e-13
+        p = ModelParams(1.5, (0.97,))
+        with pytest.raises(TailTooLarge):
+            moment_check(p)
+        assert moment_check(p, S=100)["S"] == 100.0
+
     def test_mean_value_directly(self):
         p, _ = instance(2, 1.5)
         S = 80

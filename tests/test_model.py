@@ -7,6 +7,7 @@ from mvmeixner.errors import CMassNotBelowOne, NonPositiveBeta, NonPositiveC
 from mvmeixner.model import (
     LatticeTruncation,
     ModelParams,
+    compositions,
     enumerate_lattice,
     log_weight,
     shifted_factorial,
@@ -110,6 +111,25 @@ class TestWeight:
                 for s in range(S + 1, 400)
             )
             assert tail_bound(p, S) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [(0.15, 0.25), (0.1, 0.15, 0.2)])
+    @pytest.mark.parametrize("S", [0, 4, 15])
+    def test_tail_second_moment_over_shells(self, c, S):
+        # sum_{|x|>S} |x|^2 W(x), shell by shell over the lattice points
+        p = ModelParams(1.7, c)
+        direct = math.fsum(
+            s**2 * math.fsum(weight_vector(p, compositions(s, p.n)))
+            for s in range(S + 1, 100)
+        )
+        assert tail_bound(p, S, 2) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "beta, c", [(1.7, (0.15, 0.25)), (0.3, (0.9,)), (5.0, (0.01,))]
+    )
+    def test_tail_power_zero_is_default(self, beta, c):
+        p = ModelParams(beta, c)
+        for S in (0, 1, 7, 30, 200):
+            assert tail_bound(p, S) == tail_bound(p, S, 0)
 
     @pytest.mark.parametrize("beta", [0.7, 1.5])
     @pytest.mark.parametrize("S", [5, 15, 30])

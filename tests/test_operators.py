@@ -1,15 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import all_instances, instance
+from mvmeixner import operators
 from mvmeixner.errors import SingularGenfun, TruncationBoundary
-from mvmeixner.model import ModelParams, enumerate_lattice, weight_vector
+from mvmeixner.model import (
+    ModelParams,
+    enumerate_lattice,
+    lattice_index,
+    unit_shift,
+    weight_vector,
+)
 from mvmeixner.operators import (
     LatticeFunction,
     apply_Htilde,
+    birth_rate,
     build_A,
     build_H,
     build_LBD,
+    death_rate,
     eigen_check,
     factorization_check,
     genfun_identity_check,
@@ -75,7 +86,63 @@ class TestEigenCheck:
         assert eigen_check(p, sd, (2, 1), enumerate_lattice(2, 10)) <= 1e-8
 
 
+def reference_matrices(p, S):
+    """Dense H, [A_j] and L_BD on {|x| <= S}, assembled point by point from
+    the rates, boundary rows |x| = S included."""
+    idx = lattice_index(p.n, S)
+    N = len(idx)
+    H, L = np.zeros((N, N)), np.zeros((N, N))
+    A = [np.zeros((N, N)) for _ in range(p.n)]
+    for x, i in idx.items():
+        out = math.fsum(birth_rate(p, x) + death_rate(p, x, j) for j in range(p.n))
+        H[i, i], L[i, i] = out, -out
+        for j in range(p.n):
+            A[j][i, i] = math.sqrt(birth_rate(p, x))
+            if x[j]:
+                y = unit_shift(x, j, -1)
+                L[i, idx[y]] = birth_rate(p, y)
+            if sum(x) < S:
+                y = unit_shift(x, j, +1)
+                k = idx[y]
+                H[i, k] = H[k, i] = -math.sqrt(birth_rate(p, x) * death_rate(p, y, j))
+                A[j][i, k] = -math.sqrt(death_rate(p, y, j))
+                L[i, k] = death_rate(p, y, j)
+    return H, A, L
+
+
 class TestMatrixOperators:
+    @pytest.mark.parametrize(
+        "beta, c, S",
+        [
+            (1.0, (0.5,), 12),
+            (1.5, (0.2, 0.3), 10),
+            (0.7, (0.1, 0.15, 0.2), 8),
+            (2.0, (0.05, 0.1, 0.2, 0.3), 5),
+            # (S+1)^n = 2^64: the lattice keys no longer fit in int64
+            (0.9, tuple(0.9 * k / 2080 for k in range(1, 65)), 1),
+        ],
+    )
+    def test_matrices_equal_pointwise_assembly(self, beta, c, S):
+        p = ModelParams(beta, c)
+        H, A, L = reference_matrices(p, S)
+        boundary = np.array([sum(x) == S for x in enumerate_lattice(p.n, S)])
+        # the boundary rows keep their diagonal and their couplings to x-e_j
+        assert np.count_nonzero(H[boundary]) > boundary.sum()
+        assert np.array_equal(build_H(p, S).toarray(), H)
+        assert np.array_equal(build_LBD(p, S).toarray(), L)
+        for j in range(p.n):
+            assert np.array_equal(build_A(p, S, j).toarray(), A[j])
+
+    def test_factorization_builds_each_factor_once(self, monkeypatch):
+        p = ModelParams(1.5, (0.1, 0.15, 0.2))
+        calls = []
+        real = operators.build_A
+        monkeypatch.setattr(
+            operators, "build_A", lambda p, S, j: calls.append(j) or real(p, S, j)
+        )
+        assert factorization_check(p, 6) <= 1e-12
+        assert calls == [0, 1, 2]
+
     def test_h_bitwise_symmetric(self):
         for p, _ in (instance(1, 1.0), instance(2, 1.5)):
             H = build_H(p, 8)
