@@ -5,6 +5,18 @@ The spectral route expresses the transition probability through the
 orthonormal vectors phi_m = sqrt(W) P_m sqrt(Wbar); the simulator runs the
 continuous-time chain itself.  The two never share code, so their agreement
 cross-validates the whole construction.
+
+The simulator is Gillespie's direct method run in lock-step over batches of
+trajectories: each numpy step advances every live trajectory by one event and
+drops those whose next jump lies beyond t.  Trajectory i reads the stream of
+Generator(Philox(key=[seed, i])).random(), computed here as Philox4x64-10
+blocks in numpy (one block of four words serves two events), and every float
+operation is the one-trajectory loop's, in the same order.  The exponential
+waits take math.log1p per element: numpy's vectorised log1p is not correctly
+rounded on every build (on an AVX-512 build it differs in the last bit on
+about 7% of draws), and a one-ulp longer wait drops a jump that lands within
+ulps of t.  So the counts do not depend on the batch size or on the numpy
+build's log1p, and match the one-trajectory loop the tests keep as oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NegativeTime, TailTooLarge
+from .errors import NegativeTime, ParameterError, TailTooLarge
 from .model import (
     ModelParams,
     MultiIndex,
@@ -463,51 +475,118 @@ class SimulationResult:
     bit_generator: str = RNG_NAME
 
 
-def _run_trajectory(
-    p: ModelParams, x0: MultiIndex, t_end: float, rng, max_events: int
-) -> tuple[MultiIndex, bool]:
-    n = p.n
-    c = p.c
-    beta = p.beta
-    x = list(x0)
-    sx = sum(x)
-    t = 0.0
-    events = 0
-    buf = rng.random(512)
-    pos = 0
-    while True:
-        if events >= max_events:
-            return tuple(x), True
+# Philox4x64-10 (Salmon et al. 2011, Random123): round multipliers and the
+# Weyl increments of the key
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+# Trajectories advanced together; bounds the working set (a single 200k batch
+# doubled the simulate peak RSS) while keeping the per-step overhead small
+_SIM_BATCH = 16_384
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product m * x, from 32-bit halves."""
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x0, x1 = x & _LOW32, x >> np.uint64(32)
+    p01 = m0 * x1
+    p10 = m1 * x0
+    mid = ((m0 * x0) >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = m1 * x1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32))
+    return hi + (mid >> np.uint64(32)), np.uint64(m) * x
+
+
+def _philox_block(counter: int, seed: int, ids: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 at counter (counter, 0, 0, 0) under the keys (seed, i)
+    for i in ids, shape (4, len(ids)).
+
+    numpy's Philox raises its counter before each block, so the stream of
+    Generator(Philox(key=[seed, i])) is the words of counters 1, 2, ...
+    """
+    zero = np.zeros(len(ids), dtype=np.uint64)
+    c0, c1, c2, c3 = zero + np.uint64(counter), zero, zero, zero
+    k0, k1 = zero + np.uint64(seed), ids
+    for r in range(10):
+        if r:
+            k0 = k0 + _PHILOX_W[0]
+            k1 = k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3))
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Generator.random()'s doubles: the top 53 bits of each word over 2^53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _simulate_batch(
+    p: ModelParams,
+    x0: MultiIndex,
+    t_end: float,
+    seed: int,
+    ids: np.ndarray,
+    max_events: int,
+) -> tuple[np.ndarray, int]:
+    """Final states of the trajectories ids, shape (len(ids), n), and how
+    many of them reached max_events.
+
+    Lock-step: step k draws event k of every live trajectory from words
+    2k mod 4 and 2k mod 4 + 1 of its block k//2 + 1, and drops the
+    trajectories whose next jump lies beyond t_end.  Every float operation is
+    the one-trajectory loop's, in its order, so the states are bit-for-bit
+    those of Generator(Philox(key=[seed, i])) driving that loop.
+    """
+    n, c, beta = p.n, p.c, p.beta
+    final = np.tile(np.array(x0, dtype=np.int64), (len(ids), 1))
+    rows = np.arange(len(ids))
+    X = final.copy()
+    sx = X.sum(axis=1)
+    t = np.zeros(len(ids))
+    for k in range(max_events):
+        if not len(rows):
+            return final, 0
+        if k % 2 == 0:
+            u = _uniforms(_philox_block(k // 2 + 1, seed, ids[rows]))
+        u_wait, u_pick = u[2 * (k % 2)], u[2 * (k % 2) + 1]
         per_birth = beta + sx
         total = n * per_birth
         for j in range(n):
-            total += x[j] / c[j]
-        if pos + 2 > buf.size:
-            buf = rng.random(512)
-            pos = 0
-        u_wait = buf[pos]
-        u_pick = buf[pos + 1]
-        pos += 2
-        t += -math.log1p(-u_wait) / total
-        if t > t_end:
-            return tuple(x), False
-        events += 1
+            total += X[:, j] / c[j]
+        # math.log1p per element: numpy's vectorised log1p may differ in the
+        # last bit, and a one-ulp shift in a wait flips a jump landing
+        # within ulps of t_end
+        log_stay = np.fromiter(map(math.log1p, (-u_wait).tolist()), float, len(rows))
+        t += -log_stay / total
+        over = t > t_end
+        if over.any():
+            final[rows[over]] = X[over]
+            keep = ~over
+            rows, X, sx, t, u = rows[keep], X[keep], sx[keep], t[keep], u[:, keep]
+            per_birth, total, u_pick = per_birth[keep], total[keep], u_pick[keep]
         pick = u_pick * total
-        if pick < n * per_birth:
-            j = min(int(pick / per_birth), n - 1)
-            x[j] += 1
-            sx += 1
-        else:
-            pick -= n * per_birth
-            target = None
-            for j in range(n):
-                if x[j]:
-                    target = j
-                    pick -= x[j] / c[j]
-                    if pick < 0.0:
-                        break
-            x[target] -= 1
-            sx -= 1
+        births = n * per_birth
+        birth = pick < births
+        b = np.flatnonzero(birth)
+        j_birth = np.minimum((pick[b] / per_birth[b]).astype(np.int64), n - 1)
+        X[b, j_birth] += 1
+        # a death removes from the first j whose running sum of x_j/c_j,
+        # over the nonzero x_j in order, exceeds the pick (else the last one)
+        d = np.flatnonzero(~birth)
+        rest = pick[d] - births[d]
+        target = np.zeros(len(d), dtype=np.int64)
+        open_ = np.ones(len(d), dtype=bool)
+        for j in range(n):
+            hit = open_ & (X[d, j] != 0)
+            target[hit] = j
+            rest[hit] -= X[d[hit], j] / c[j]
+            open_ &= ~(hit & (rest < 0.0))
+        X[d, target] -= 1
+        sx += np.where(birth, 1, -1)
+    final[rows] = X
+    return final, len(rows)
 
 
 def simulate(
@@ -521,17 +600,22 @@ def simulate(
     B_j = beta+|x|, D_j = x_j/c_j, each run to time t.
 
     Trajectory i draws from Philox keyed by (seed, i), so results do not
-    depend on execution order; trajectories hitting the event cap are
-    counted in cap_hits and contribute their state at the cap.
+    depend on execution order or batching; trajectories hitting the event
+    cap MAX_EVENTS_PER_TRAJECTORY are counted in cap_hits and contribute
+    their state at the cap.  ParameterError unless 0 <= seed < 2**64.
     """
     if t < 0:
         raise NegativeTime(f"t must be >= 0, got {t}")
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
     counts: Counter = Counter()
     cap_hits = 0
-    for i in range(n_traj):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        state, capped = _run_trajectory(p, x0, t, rng, MAX_EVENTS_PER_TRAJECTORY)
-        counts[state] += 1
+    for start in range(0, n_traj, _SIM_BATCH):
+        ids = np.arange(start, min(start + _SIM_BATCH, n_traj), dtype=np.uint64)
+        final, capped = _simulate_batch(
+            p, x0, t, seed, ids, MAX_EVENTS_PER_TRAJECTORY
+        )
+        counts.update(map(tuple, final.tolist()))
         cap_hits += capped
     return SimulationResult(
         x0=tuple(x0), t=t, seed=seed, n_traj=n_traj, counts=counts, cap_hits=cap_hits

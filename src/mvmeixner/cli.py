@@ -77,6 +77,8 @@ class RunConfig:
                 raise ConfigError(f"tolerances.{name} must lie in (0, 1), got {v}")
         if self.t < 0:
             raise ConfigError(f"sim.t must be >= 0, got {self.t}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"sim.seed must lie in [0, 2**64), got {self.seed}")
         return self
 
 

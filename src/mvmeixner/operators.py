@@ -212,6 +212,19 @@ def interior_mask(n: int, S: int) -> np.ndarray:
     return np.array([sum(x) + 1 <= S for x in enumerate_lattice(n, S)])
 
 
+def _factorization_defect(
+    H: sp.csr_matrix, factors: Sequence[sp.csr_matrix], inner: np.ndarray
+) -> float:
+    """max |H - sum_j A_j^T A_j| over the rows where inner is True."""
+    import scipy.sparse as sp
+
+    acc = sp.csr_matrix(H.shape)
+    for A in factors:
+        acc = acc + A.T @ A
+    diff = (H - acc).toarray()
+    return float(np.abs(diff[inner]).max())
+
+
 def factorization_check(p: ModelParams, S: int) -> float:
     """max |H - sum_j A_j^T A_j| over interior rows.
 
@@ -219,15 +232,8 @@ def factorization_check(p: ModelParams, S: int) -> float:
     agreement is therefore a rounding-level check of the factorization, not
     a tautology.
     """
-    import scipy.sparse as sp
-
-    H = build_H(p, S)
-    acc = sp.csr_matrix(H.shape)
-    for j in range(p.n):
-        A = build_A(p, S, j)
-        acc = acc + A.T @ A
-    diff = (H - acc).toarray()
-    return float(np.abs(diff[interior_mask(p.n, S)]).max())
+    factors = [build_A(p, S, j) for j in range(p.n)]
+    return _factorization_defect(build_H(p, S), factors, interior_mask(p.n, S))
 
 
 def operator_algebra_report(p: ModelParams, S: int) -> dict[str, float]:
@@ -241,19 +247,17 @@ def operator_algebra_report(p: ModelParams, S: int) -> dict[str, float]:
       submatrix (positive semi-definiteness of the truncated operator)
     """
     H = build_H(p, S)
+    factors = [build_A(p, S, j) for j in range(p.n)]
     lat = enumerate_lattice(p.n, S)
     inner = interior_mask(p.n, S)
     sqrt_w = np.sqrt(weight_vector(p, lat))
 
     sym = float(np.abs((H - H.T).toarray()).max())
-    fac = factorization_check(p, S)
+    fac = _factorization_defect(H, factors, inner)
     h_w = float(np.abs((H @ sqrt_w)[inner]).max()) / float(
         np.linalg.norm(sqrt_w)
     )
-    a_w = max(
-        float(np.abs((build_A(p, S, j) @ sqrt_w)[inner]).max())
-        for j in range(p.n)
-    )
+    a_w = max(float(np.abs((A @ sqrt_w)[inner]).max()) for A in factors)
     sub = H.toarray()[np.ix_(inner, inner)]
     min_eig = float(np.linalg.eigvalsh(sub)[0])
     return {

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from mvmeixner.bdprocess import (
     wbar,
     wbar_total,
 )
-from mvmeixner.errors import NegativeTime, TailTooLarge
+from mvmeixner.errors import NegativeTime, ParameterError, TailTooLarge
 from mvmeixner.model import (
     ModelParams,
     compositions,
@@ -353,6 +354,140 @@ class TestSimulate:
             if row.z is not None:
                 assert abs(row.spectral - weight(p, row.state)) <= 1e-6
         assert rep.p_value > 1e-3
+
+
+def _run_trajectory(
+    p: ModelParams, x0, t_end: float, rng, max_events: int
+) -> tuple[tuple[int, ...], bool]:
+    """One trajectory, one event per iteration: the reference for simulate."""
+    n = p.n
+    c = p.c
+    beta = p.beta
+    x = list(x0)
+    sx = sum(x)
+    t = 0.0
+    events = 0
+    buf = rng.random(512)
+    pos = 0
+    while True:
+        if events >= max_events:
+            return tuple(x), True
+        per_birth = beta + sx
+        total = n * per_birth
+        for j in range(n):
+            total += x[j] / c[j]
+        if pos + 2 > buf.size:
+            buf = rng.random(512)
+            pos = 0
+        u_wait = buf[pos]
+        u_pick = buf[pos + 1]
+        pos += 2
+        t += -math.log1p(-u_wait) / total
+        if t > t_end:
+            return tuple(x), False
+        events += 1
+        pick = u_pick * total
+        if pick < n * per_birth:
+            j = min(int(pick / per_birth), n - 1)
+            x[j] += 1
+            sx += 1
+        else:
+            pick -= n * per_birth
+            target = None
+            for j in range(n):
+                if x[j]:
+                    target = j
+                    pick -= x[j] / c[j]
+                    if pick < 0.0:
+                        break
+            x[target] -= 1
+            sx -= 1
+
+
+def oracle_simulate(p, x0, t, seed, n_traj, max_events=1_000_000):
+    counts: Counter = Counter()
+    cap_hits = 0
+    for i in range(n_traj):
+        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+        state, capped = _run_trajectory(p, x0, t, rng, max_events)
+        counts[state] += 1
+        cap_hits += capped
+    return counts, cap_hits
+
+
+class TestSimulatorOracle:
+    """simulate advances all trajectories in lock-step; each must end where
+    the one-trajectory loop on the same Philox stream ends, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 42])
+    @pytest.mark.parametrize(
+        "beta,c,x0,t",
+        [
+            (1.0, (0.5,), (0,), 0.05),
+            (1.0, (0.5,), (3,), 2.5),
+            (1.5, (0.2, 0.3), (0, 0), 1.0),
+            (1.5, (0.45, 0.49), (2, 1), 0.4),
+            (1.5, (0.2, 0.3), (1, 1), 0.0),
+            (0.7, (0.1, 0.15, 0.2), (0, 0, 0), 0.5),
+            (3.0, (0.1, 0.15, 0.2), (1, 0, 2), 2.5),
+        ],
+    )
+    def test_matches_oracle(self, beta, c, x0, t, seed):
+        p = ModelParams(beta, c)
+        sim = simulate(p, x0, t, seed, 400)
+        assert (sim.counts, sim.cap_hits) == oracle_simulate(p, x0, t, seed, 400)
+
+    @pytest.mark.parametrize("n_traj", [0, 1, bdprocess._SIM_BATCH + 1])
+    def test_batch_edges(self, n_traj):
+        p = ModelParams(1.5, (0.2, 0.3))
+        sim = simulate(p, (0, 0), 0.2, 5, n_traj)
+        assert sim.n_traj == n_traj
+        assert (sim.counts, sim.cap_hits) == oracle_simulate(p, (0, 0), 0.2, 5, n_traj)
+
+    def test_jumps_landing_on_t_end(self):
+        # t_end is set to a trajectory's first jump time exactly, so that jump
+        # happens and a wait one ulp longer would drop it.  numpy's vectorised
+        # log1p rounds some draws differently on some builds; the first such
+        # draw is among those tried
+        p = ModelParams(1.5, (0.2, 0.3))
+        x0 = (1, 2)
+        total = p.n * (p.beta + sum(x0))
+        for j in range(p.n):
+            total += x0[j] / p.c[j]
+        u = [np.random.Generator(np.random.Philox(key=[42, i])).random() for i in range(2000)]
+        flips = [i for i, v in enumerate(u) if np.log1p(-v) < math.log1p(-v)]
+        for i in list(range(8)) + flips[:1]:
+            t_end = 0.0 + -math.log1p(-u[i]) / total
+            sim = simulate(p, x0, t_end, 42, i + 1)
+            assert (sim.counts, sim.cap_hits) == oracle_simulate(p, x0, t_end, 42, i + 1)
+
+    def test_event_cap_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(bdprocess, "MAX_EVENTS_PER_TRAJECTORY", 3)
+        p = ModelParams(1.5, (0.2, 0.3))
+        sim = simulate(p, (0, 0), 1.0, 11, 300)
+        assert sim.cap_hits > 0
+        assert (sim.counts, sim.cap_hits) == oracle_simulate(
+            p, (0, 0), 1.0, 11, 300, max_events=3
+        )
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_philox_words(self, seed):
+        ids = np.array([0, 1, 7, 2**32 + 5, 2**63 + 3, 2**64 - 1], dtype=np.uint64)
+        words = np.concatenate(
+            [bdprocess._philox_block(counter, seed, ids) for counter in (1, 2)]
+        )
+        for col, i in enumerate(ids):
+            # an explicit uint64 key: numpy converts a list mixing values
+            # above 2**63 with small ones through float64
+            key = np.array([seed, i], dtype=np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=key)).random(8)
+            assert np.array_equal(bdprocess._uniforms(words[:, col]), expected)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        p = ModelParams(1.0, (0.5,))
+        with pytest.raises(ParameterError, match="seed"):
+            simulate(p, (0,), 0.5, seed, 10)
 
 
 def test_chdtrc_is_bitwise_chi2_sf():

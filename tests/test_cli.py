@@ -64,6 +64,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="eps_orth"):
             load_config(path)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_range_checked(self, tmp_path, seed):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"beta": 1.0, "c": [0.5], "sim": {"seed": seed}}))
+        with pytest.raises(ConfigError, match="sim.seed"):
+            load_config(path)
+
 
 class TestSpectrumCommand:
     def test_valid_instance(self, tmp_path):
@@ -186,6 +193,12 @@ class TestSimulateCommand:
         assert "generator=philox" in lines[-1]
         counts = sum(int(l.split(",")[1]) for l in lines[1:-1])
         assert counts == 2000
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_is_invalid(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, beta=1.0, c=[0.5])
+        assert main(["simulate", cfg, "--seed", seed]) == EXIT_INVALID
+        assert "sim.seed" in capsys.readouterr().err
 
 
 class TestColdImport:

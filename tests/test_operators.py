@@ -143,6 +143,19 @@ class TestMatrixOperators:
         assert factorization_check(p, 6) <= 1e-12
         assert calls == [0, 1, 2]
 
+    def test_algebra_report_builds_each_matrix_once(self, monkeypatch):
+        p = ModelParams(1.5, (0.1, 0.15, 0.2))
+        calls = []
+        real_H, real_A = operators.build_H, operators.build_A
+        monkeypatch.setattr(
+            operators, "build_H", lambda p, S: calls.append("H") or real_H(p, S)
+        )
+        monkeypatch.setattr(
+            operators, "build_A", lambda p, S, j: calls.append(j) or real_A(p, S, j)
+        )
+        assert operator_algebra_report(p, 6)["factorization"] <= 1e-12
+        assert calls == ["H", 0, 1, 2]
+
     def test_h_bitwise_symmetric(self):
         for p, _ in (instance(1, 1.0), instance(2, 1.5)):
             H = build_H(p, 8)
