@@ -22,7 +22,6 @@ from .errors import (
     TruncationBoundary,
 )
 from .model import (
-    LatticeTruncation,
     ModelParams,
     enumerate_lattice,
     shifted_factorial,
@@ -52,7 +51,6 @@ from .operators import (
     build_LBD,
     eigen_check,
     factorization_check,
-    genfun_identity_check,
 )
 from .bdprocess import (
     chapman_kolmogorov_check,
@@ -73,7 +71,6 @@ __all__ = [
     "DegenerateParameters",
     "DegreeCapExceeded",
     "LatticeFunction",
-    "LatticeTruncation",
     "MeixnerError",
     "ModelParams",
     "NegativeTime",
@@ -97,7 +94,6 @@ __all__ = [
     "enumerate_lattice",
     "factorization_check",
     "genfun_eval",
-    "genfun_identity_check",
     "meixner_1d",
     "meixner_eval",
     "moment_check",

@@ -80,14 +80,6 @@ def wbar_vector(
     return np.array([wbar(p, sd, m) for m in m_list])
 
 
-def wbar_total(p: ModelParams, sd: SpectralData) -> float:
-    """sum_m Wbar(m) = (1 - |cbar|)^(-beta); finite because |cbar| < 1."""
-    mass = math.fsum(sd.cbar)
-    if not mass < 1.0:
-        raise TailTooLarge(f"|cbar| = {mass} >= 1; dual weight not summable")
-    return (1.0 - mass) ** (-p.beta)
-
-
 def phi_hat(
     p: ModelParams, sd: SpectralData, m: MultiIndex, x: MultiIndex
 ) -> float:
@@ -95,41 +87,6 @@ def phi_hat(
     return math.sqrt(weight(p, x)) * meixner_eval(p, sd, m, x) * math.sqrt(
         wbar(p, sd, m)
     )
-
-
-def phi_matrix(
-    p: ModelParams,
-    sd: SpectralData,
-    m_list: Sequence[MultiIndex],
-    lattice: Sequence[MultiIndex],
-) -> np.ndarray:
-    """phi entries, shape (len(m_list), len(lattice))."""
-    max_deg = max(sum(m) for m in m_list)
-    S = max(sum(x) for x in lattice)
-    table = poly_table(p, sd, max_deg, S)
-    m_index = lattice_index(p.n, max_deg)
-    x_index = lattice_index(p.n, S)
-    rows = [m_index[tuple(m)] for m in m_list]
-    cols = [x_index[tuple(x)] for x in lattice]
-    P = table.values[np.ix_(rows, cols)]
-    sw = np.sqrt(weight_vector(p, lattice))
-    swb = np.sqrt(wbar_vector(p, sd, m_list))
-    return swb[:, None] * P * sw[None, :]
-
-
-def completeness_residual(
-    p: ModelParams,
-    sd: SpectralData,
-    x: MultiIndex,
-    y: MultiIndex,
-    M: int,
-) -> float:
-    """|sum_{|m| <= M} phi_m(x) phi_m(y) - delta_xy|; decreasing in M."""
-    total = math.fsum(
-        phi_hat(p, sd, m, x) * phi_hat(p, sd, m, y)
-        for m in compositions_upto(M, p.n)
-    )
-    return abs(total - (1.0 if tuple(x) == tuple(y) else 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +241,7 @@ def choose_spectral_cutoff(
     t: float,
 ) -> int:
     """Smallest degree cutoff whose next shell is provably below
-    _SPECTRAL_CUTOFF_EPS, capped at _MAX_SPECTRAL_M.
+    _SPECTRAL_CUTOFF_EPS; TailTooLarge if none up to _MAX_SPECTRAL_M is.
 
     Shell |m| = M contributes at most sqrt(W(x)/W(y)) * exp(-lam_min M t) by
     orthonormality (shell sums of phi products are bounded by 1), so the
@@ -294,10 +251,12 @@ def choose_spectral_cutoff(
         raise NegativeTime(f"adaptive cutoff needs t > 0, got {t}")
     prefactor = math.exp(0.5 * (math.log(weight(p, x)) - math.log(weight(p, y))))
     M = 1
-    while (
-        M < _MAX_SPECTRAL_M
-        and prefactor * math.exp(-sd.lam[0] * M * t) >= _SPECTRAL_CUTOFF_EPS
-    ):
+    while (shell := prefactor * math.exp(-sd.lam[0] * M * t)) >= _SPECTRAL_CUTOFF_EPS:
+        if M >= _MAX_SPECTRAL_M:
+            raise TailTooLarge(
+                f"shell bound {shell:.3e} >= {_SPECTRAL_CUTOFF_EPS:.0e} at "
+                f"M={M} (t={t}); no M <= {_MAX_SPECTRAL_M} reaches it"
+            )
         M += 1
     return M
 
@@ -324,7 +283,7 @@ def transition_prob(
     T -> W(x) requires.
 
     With M=None the cutoff is chosen adaptively via choose_spectral_cutoff
-    (t must then be positive).
+    (t must then be positive, and short t may raise TailTooLarge).
     """
     if t < 0:
         raise NegativeTime(f"t must be >= 0, got {t}")
@@ -405,19 +364,6 @@ def transition_matrix(
     if t < 0:
         raise NegativeTime(f"t must be >= 0, got {t}")
     return _SpectralKernel(p, sd, M, S).matrix(t)
-
-
-def conservation_defect(
-    p: ModelParams, sd: SpectralData, y: MultiIndex, t: float, M: int, S: int
-) -> float:
-    """|1 - sum_{|x| <= S} T(x, y; t)|: the mass escaped from |x| <= S.
-
-    Orthogonality of every P_m with m != 0 to P_0 = 1 under W makes the
-    column sum over the whole lattice exactly 1 for every M, so this measures
-    the lattice truncation S only, never the spectral truncation M.
-    """
-    col = _SpectralKernel(p, sd, M, S).column(y, t)
-    return abs(1.0 - float(col.sum()))
 
 
 def chapman_kolmogorov_check(

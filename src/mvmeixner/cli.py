@@ -68,9 +68,14 @@ class RunConfig:
         return ModelParams(self.beta, self.c)
 
     def validate(self) -> "RunConfig":
-        for name in ("S", "max_deg", "M", "D", "n_traj"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"limits.{name} must be positive, got {getattr(self, name)}")
+        for name in ("S", "max_deg", "M", "D", "n_traj", "seed"):
+            v = getattr(self, name)
+            field = f"{'sim' if name in _SIM_KEYS else 'limits'}.{name}"
+            # bool is an int subclass: JSON true would run as 1
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ConfigError(f"{field} must be an integer, got {v!r}")
+            if v <= 0 and name != "seed":
+                raise ConfigError(f"{field} must be positive, got {v}")
         for name in ("eps_orth", "eps_eigen", "eps_ck"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -331,6 +336,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _number(text: str) -> int | float:
+    """An integer flag's value.  A non-integral number is passed on, so that
+    RunConfig.validate rejects it as invalid input (exit 1), as it would in
+    the config file, not argparse as a usage error (exit 2)."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvmeixner",
@@ -348,15 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("config", help="path to the JSON run config")
         sp.add_argument("--beta", type=float)
         sp.add_argument("--c", type=str, help="comma-separated rates, e.g. 0.2,0.3")
-        sp.add_argument("--S", type=int)
-        sp.add_argument("--max-deg", dest="max_deg", type=int)
-        sp.add_argument("--M", type=int)
-        sp.add_argument("--D", type=int)
+        sp.add_argument("--S", type=_number)
+        sp.add_argument("--max-deg", dest="max_deg", type=_number)
+        sp.add_argument("--M", type=_number)
+        sp.add_argument("--D", type=_number)
         sp.add_argument("--eps-orth", dest="eps_orth", type=float)
         sp.add_argument("--eps-eigen", dest="eps_eigen", type=float)
         sp.add_argument("--eps-ck", dest="eps_ck", type=float)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--n-traj", dest="n_traj", type=int)
+        sp.add_argument("--seed", type=_number)
+        sp.add_argument("--n-traj", dest="n_traj", type=_number)
         sp.add_argument("--t", type=float)
         sp.add_argument("--output-dir", dest="output_dir", type=str)
     return parser

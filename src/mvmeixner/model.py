@@ -227,14 +227,3 @@ def tail_bound(p: ModelParams, S: int, power: int = 0) -> float:
             break
     return total + term * s**power
 
-
-@dataclass(frozen=True)
-class LatticeTruncation:
-    """Total-population cutoff |x| <= S with the certified omitted mass."""
-
-    S: int
-    tail: float
-
-    @classmethod
-    def for_params(cls, p: ModelParams, S: int) -> "LatticeTruncation":
-        return cls(S=S, tail=tail_bound(p, S))

@@ -308,7 +308,7 @@ def _scaling_deriv_fd(
     return out
 
 
-def genfun_identity_check(
+def genfun_identity_richardson(
     p: ModelParams,
     sd: SpectralData,
     x: MultiIndex,
@@ -318,23 +318,11 @@ def genfun_identity_check(
     """Residual of (H-tilde G)(x; t) = sum_k lam_k t_k dG/dt_k at one point.
 
     The left side applies the difference operator in x to the closed form;
-    the right side is a finite-difference derivative in t, so the residual
-    is O(h^2) when the identity holds.
+    the right side is a central-difference derivative in t at steps h and
+    h/2 (residual_h, residual_h2) and their Richardson extrapolation
+    (residual).  Each one-step residual is O(h^2) when the identity holds,
+    so residual_h / residual_h2 near 4 confirms the scaling.
     """
-    lhs = _htilde(p, x, lambda y: genfun_value(p, sd, y, t))
-    rhs = _scaling_deriv_fd(p, sd, x, t, h)
-    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
-
-
-def genfun_identity_richardson(
-    p: ModelParams,
-    sd: SpectralData,
-    x: MultiIndex,
-    t: Sequence[float],
-    h: float = 1e-5,
-) -> dict[str, float]:
-    """genfun_identity_check at h and h/2 plus the Richardson-extrapolated
-    derivative; residual_h / residual_h2 near 4 confirms the O(h^2) scaling."""
     lhs = _htilde(p, x, lambda y: genfun_value(p, sd, y, t))
     rhs_h = _scaling_deriv_fd(p, sd, x, t, h)
     rhs_h2 = _scaling_deriv_fd(p, sd, x, t, h / 2)

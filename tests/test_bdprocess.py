@@ -11,23 +11,20 @@ from mvmeixner.bdprocess import (
     _spectral_column,
     chapman_kolmogorov_check,
     compare_sim_spectral,
-    completeness_residual,
-    conservation_defect,
     choose_orthogonality_S,
     moment_check,
     orthogonality_check,
     phi_hat,
-    phi_matrix,
     simulate,
     transition_matrix,
     transition_prob,
     wbar,
-    wbar_total,
 )
 from mvmeixner.errors import NegativeTime, ParameterError, TailTooLarge
 from mvmeixner.model import (
     ModelParams,
     compositions,
+    compositions_upto,
     enumerate_lattice,
     lattice_index,
     weight,
@@ -71,11 +68,11 @@ class TestWeights:
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_wbar_total(self):
-        from mvmeixner.model import compositions_upto
-
+        # sum_m Wbar(m) = (1 - |cbar|)^(-beta), finite because |cbar| < 1
         for p, sd in all_instances():
             direct = sum(wbar(p, sd, m) for m in compositions_upto(60, p.n))
-            assert direct == pytest.approx(wbar_total(p, sd), rel=1e-8)
+            closed = (1.0 - math.fsum(sd.cbar)) ** (-p.beta)
+            assert direct == pytest.approx(closed, rel=1e-8)
 
 
 class TestOrthogonality:
@@ -175,17 +172,35 @@ class TestPhiHat:
         assert phi0 @ phi0 == pytest.approx(1.0, abs=1e-9)
 
     def test_cross_orthogonality(self):
+        # phi_m . phi_m' on |x| <= 70 is the Gram entry scaled by
+        # sqrt(Wbar(m) Wbar(m'))
         p, sd = instance(2, 0.7)
+        rep = orthogonality_check(p, sd, 1, 70)
+        i, k = rep.m_list.index((1, 0)), rep.m_list.index((0, 1))
+        swb = np.sqrt([wbar(p, sd, m) for m in rep.m_list])
+        phi_gram = swb[:, None] * rep.gram * swb[None, :]
+        assert abs(phi_gram[i, k]) <= 1e-9
+        assert phi_gram[i, i] == pytest.approx(1.0, abs=1e-8)
         lat = enumerate_lattice(2, 70)
-        phi = phi_matrix(p, sd, [(1, 0), (0, 1)], lat)
-        assert abs(phi[0] @ phi[1]) <= 1e-9
-        assert phi[0] @ phi[0] == pytest.approx(1.0, abs=1e-8)
+        phi = [np.array([phi_hat(p, sd, m, x) for x in lat]) for m in ((1, 0), (0, 1))]
+        assert phi[0] @ phi[1] == pytest.approx(phi_gram[i, k], abs=1e-15)
 
     def test_completeness_monotone_trend(self):
+        # sum_{|m| <= M} phi_m(x) phi_m(y) - delta_xy is
+        # sqrt(W(y)/W(x)) T(x, y; 0) for x != y
         p, sd = instance(2, 1.5)
-        res = [completeness_residual(p, sd, (1, 0), (0, 1), M) for M in (2, 6, 10, 14)]
+        x, y = (1, 0), (0, 1)
+        scale = math.sqrt(weight(p, y) / weight(p, x))
+        res = [
+            scale * abs(transition_prob(p, sd, x, y, 0.0, M).spectral_value)
+            for M in (2, 6, 10, 14)
+        ]
         assert res[-1] < res[0]
         assert res[-1] <= 2e-2
+        phi_sum = math.fsum(
+            phi_hat(p, sd, m, x) * phi_hat(p, sd, m, y) for m in compositions_upto(6, 2)
+        )
+        assert abs(phi_sum) == pytest.approx(res[1], rel=1e-12)
 
 
 class TestTransition:
@@ -214,10 +229,11 @@ class TestTransition:
             assert rep.nonnegative
 
     def test_conservation_over_states(self):
-        p, sd = instance(2, 1.5)
-        assert conservation_defect(p, sd, (1, 0), 0.3, 12, 25) <= 1e-6
-        p1, sd1 = instance(1, 1.5)
-        assert conservation_defect(p1, sd1, (2,), 0.3, 25, 40) <= 1e-9
+        # the mass escaped from |x| <= S is 1 minus the column sum over x
+        for n, y, M, S, tol in ((2, (1, 0), 12, 25, 1e-6), (1, (2,), 25, 40, 1e-9)):
+            p, sd = instance(n, 1.5)
+            col = transition_matrix(p, sd, 0.3, M, S)[:, lattice_index(n, S)[y]]
+            assert abs(1.0 - col.sum()) <= tol
 
     def test_short_time_delta_trend(self):
         p, sd = instance(1, 1.0)
@@ -242,6 +258,13 @@ class TestTransition:
         )
         with pytest.raises(NegativeTime):
             choose_spectral_cutoff(p, sd, (0, 0), (0, 0), 0.0)
+        assert (fast, slow) == (7, 123)
+        assert choose_spectral_cutoff(p, sd, (1, 0), (0, 1), 0.5) == 25
+        # at t=0.05 the next-shell bound is still 8e-9 at the cap M=200
+        with pytest.raises(TailTooLarge, match="M=200"):
+            choose_spectral_cutoff(p, sd, (1, 0), (0, 1), 0.05)
+        with pytest.raises(TailTooLarge):
+            transition_prob(p, sd, (1, 0), (0, 1), 0.05)
 
 
 class TestChapmanKolmogorov:
@@ -288,8 +311,7 @@ class TestKernelViews:
         )
         assert ck["top_shell_contribution"] == pytest.approx(shell, rel=1e-10, abs=0.0)
 
-        defect = conservation_defect(p, sd, y, tp, M, S)
-        assert abs(defect - abs(1.0 - Tp[:, iy].sum())) <= 1e-14
+        assert abs(ck["start_column_defect"] - abs(1.0 - Tp[:, iy].sum())) <= 1e-14
 
         col, lat = _spectral_column(p, sd, y, tp, M, S)
         S_col = sum(lat[-1])
@@ -448,18 +470,19 @@ class TestSimulatorOracle:
         # t_end is set to a trajectory's first jump time exactly, so that jump
         # happens and a wait one ulp longer would drop it.  numpy's vectorised
         # log1p rounds some draws differently on some builds; the first such
-        # draw is among those tried
-        p = ModelParams(1.5, (0.2, 0.3))
-        x0 = (1, 2)
-        total = p.n * (p.beta + sum(x0))
-        for j in range(p.n):
-            total += x0[j] / p.c[j]
+        # draw is among those tried.  At c=0.18, x=3 the rate total rounds
+        # one ulp lower when x/c is formed as x*(1/c), so a total formed that
+        # way waits longer too
         u = [np.random.Generator(np.random.Philox(key=[42, i])).random() for i in range(2000)]
         flips = [i for i, v in enumerate(u) if np.log1p(-v) < math.log1p(-v)]
-        for i in list(range(8)) + flips[:1]:
-            t_end = 0.0 + -math.log1p(-u[i]) / total
-            sim = simulate(p, x0, t_end, 42, i + 1)
-            assert (sim.counts, sim.cap_hits) == oracle_simulate(p, x0, t_end, 42, i + 1)
+        for p, x0 in ((ModelParams(1.5, (0.2, 0.3)), (1, 2)), (ModelParams(1.0, (0.18,)), (3,))):
+            total = p.n * (p.beta + sum(x0))
+            for j in range(p.n):
+                total += x0[j] / p.c[j]
+            for i in list(range(8)) + flips[:1]:
+                t_end = 0.0 + -math.log1p(-u[i]) / total
+                sim = simulate(p, x0, t_end, 42, i + 1)
+                assert (sim.counts, sim.cap_hits) == oracle_simulate(p, x0, t_end, 42, i + 1)
 
     def test_event_cap_read_at_call_time(self, monkeypatch):
         monkeypatch.setattr(bdprocess, "MAX_EVENTS_PER_TRAJECTORY", 3)

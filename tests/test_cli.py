@@ -71,6 +71,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sim.seed"):
             load_config(path)
 
+    # a float would die in range() or truncate the seed, and JSON true would
+    # run as 1: each is invalid input, in the file or as a flag
+    @pytest.mark.parametrize(
+        "section,name,value,via",
+        [
+            ("sim", "n_traj", 1000.5, "config"),
+            ("limits", "S", 30.5, "config"),
+            ("sim", "seed", 42.7, "config"),
+            ("limits", "max_deg", True, "config"),
+            ("limits", "M", 15.0, "config"),
+            ("sim", "n_traj", "1000.5", "flag"),
+            ("limits", "S", "30.5", "flag"),
+            ("sim", "seed", "42.7", "flag"),
+            ("limits", "D", "8.0", "flag"),
+        ],
+    )
+    def test_integer_fields_typed(self, tmp_path, capsys, section, name, value, via):
+        if via == "config":
+            argv = ["simulate", write_config(tmp_path, **{section: {name: value}})]
+        else:
+            flag = "--" + name.replace("_", "-")
+            argv = ["simulate", write_config(tmp_path), flag, value]
+        assert main(argv) == EXIT_INVALID
+        assert f"{section}.{name} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSpectrumCommand:
     def test_valid_instance(self, tmp_path):

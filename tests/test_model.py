@@ -5,7 +5,6 @@ import pytest
 
 from mvmeixner.errors import CMassNotBelowOne, NonPositiveBeta, NonPositiveC
 from mvmeixner.model import (
-    LatticeTruncation,
     ModelParams,
     compositions,
     enumerate_lattice,
@@ -96,6 +95,8 @@ class TestWeight:
         p = ModelParams(1.0, (0.2, 0.3))
         # beta = 1 makes the total-population marginal geometric
         assert tail_bound(p, 0) == pytest.approx(0.5, rel=1e-14)
+        assert tail_bound(p, 12) == pytest.approx(0.5**13, rel=1e-14)
+        assert tail_bound(p, 12) > tail_bound(p, 13)
         assert tail_bound(p, 40) < 1e-11
 
     def test_tail_direct_series_oracle(self):
@@ -139,12 +140,6 @@ class TestWeight:
         total = weight_vector(p, lat).sum() + tail_bound(p, S)
         eps = np.finfo(float).eps * len(lat)
         assert abs(total - 1.0) <= eps
-
-    def test_trunction_dataclass(self):
-        p = ModelParams(1.5, (0.2, 0.3))
-        tr = LatticeTruncation.for_params(p, 12)
-        assert tr.tail == tail_bound(p, 12)
-        assert tr.tail > LatticeTruncation.for_params(p, 13).tail
 
     @pytest.mark.parametrize("c", [(0.5,), (0.2, 0.3), (0.1, 0.15, 0.2)])
     def test_weight_vector_is_pointwise_weight(self, c):

@@ -23,7 +23,6 @@ from mvmeixner.operators import (
     death_rate,
     eigen_check,
     factorization_check,
-    genfun_identity_check,
     genfun_identity_richardson,
     genfun_value,
     interior_mask,
@@ -227,18 +226,18 @@ class TestMatrixOperators:
 
 class TestGenfunIdentity:
     def test_t_zero_trivial(self):
+        # G(x; 0) = 1 for every x, and no t_k contributes a derivative term
         p, sd = instance(2, 1.5)
-        res = genfun_identity_check(p, sd, (2, 1), (0.0, 0.0))
+        res = genfun_identity_richardson(p, sd, (2, 1), (0.0, 0.0))
         assert res["lhs"] == 0.0
-        assert res["rhs"] == 0.0
+        assert res["residual_h"] == res["residual_h2"] == res["residual"] == 0.0
 
     def test_single_variable(self):
         p, sd = instance(1, 1.0)
-        res = genfun_identity_check(p, sd, (2,), (0.1,), h=1e-5)
-        assert res["residual"] <= 1e-7
-        half = genfun_identity_check(p, sd, (2,), (0.1,), h=5e-6)
+        res = genfun_identity_richardson(p, sd, (2,), (0.1,), h=1e-5)
+        assert res["residual_h"] <= 1e-7
         # O(h^2): halving the step shrinks the residual by about 4
-        assert half["residual"] <= 0.5 * res["residual"] + 1e-12
+        assert res["residual_h2"] <= 0.5 * res["residual_h"] + 1e-12
 
     def test_n2_random_points(self):
         p, sd = instance(2, 1.5)
