@@ -338,16 +338,25 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def _number(text: str) -> int | float:
     """An integer flag's value.  A non-integral number is passed on, so that
-    RunConfig.validate rejects it as invalid input (exit 1), as it would in
-    the config file, not argparse as a usage error (exit 2)."""
+    RunConfig.validate rejects it with the message it gives in the config
+    file."""
     try:
         return int(text)
     except ValueError:
         return float(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as invalid input (exit 1): argparse's own code,
+    2, is the CLI's code for coincident rates."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvmeixner",
         description="Multivariate Meixner / birth-death verification toolkit",
     )

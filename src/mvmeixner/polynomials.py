@@ -7,9 +7,10 @@ n-by-n nonnegative integer matrices, collapsed onto row-sum vectors r,
 
 A matrix contributes zero unless column j sums to at most m_j and row i to
 at most x_i, because a shifted factorial with a nonpositive-integer base
-vanishes.  One recursion (`_row_sum_coeffs`) enumerates the column
-compositions bounded by m, prunes rows at given caps and sums each r bucket
-with fsum; a single point caps the rows at x, a whole table at |m|.
+vanishes.  coeff_r depends on (beta, u, m) only: `_row_sum_coeffs` builds
+one list of (r, coeff_r) per m in numpy, summing each r bucket with fsum,
+and caches it.  A single point reads the r <= x of that list, a whole table
+all of it.
 
 Route 2 (`genfun_eval`): expansion of the generating function
 
@@ -48,74 +49,50 @@ DEFAULT_SERIES_CAP = 8
 # Route 1: terminating matrix sum
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _column_factors(
-    u_cols: tuple[tuple[float, ...], ...], m: MultiIndex
-) -> tuple[tuple[tuple[MultiIndex, float], ...], ...]:
-    """Per column j: [(column composition, its x-independent factor)].
-
-    The factor bundles (-m_j)_{sum(col)} * prod_i u_ij^{col_i} / prod_i col_i!.
-    """
-    n = len(m)
-    out = []
-    for j in range(n):
-        opts = []
-        for col in compositions_upto(m[j], n):
-            s = sum(col)
-            fac = shifted_factorial(-m[j], s)
-            for i in range(n):
-                fac *= u_cols[j][i] ** col[i] / math.factorial(col[i])
-            opts.append((col, fac))
-        out.append(tuple(opts))
-    return tuple(out)
-
-
 def _u_columns(sd: SpectralData) -> tuple[tuple[float, ...], ...]:
-    n = sd.n
-    return tuple(tuple(sd.u[i][j] for i in range(n)) for j in range(n))
+    return tuple(zip(*sd.u))
 
 
-# One entry per (m, caps): pointwise caps multiply the keys, and 1024 entries
-# keep the reuse between nearby points while bounding the memory held when
-# many parameter sets are evaluated in one process.
+# One entry per (beta, u, m); 1024 entries bound the memory held when many
+# parameter sets are evaluated in one process.
 @lru_cache(maxsize=1024)
 def _row_sum_coeffs(
-    beta: float,
-    u_cols: tuple[tuple[float, ...], ...],
-    m: MultiIndex,
-    caps: MultiIndex,
-) -> tuple[tuple[MultiIndex, float], ...]:
-    """Collapse the matrix sum over fixed row-sum vectors r <= caps:
+    beta: float, u_cols: tuple[tuple[float, ...], ...], m: MultiIndex
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse the matrix sum onto its row-sum vectors r:
 
         P_m(x) = sum_r coeff_r * prod_i (-x_i)_{r_i}.
 
-    coeff_r absorbs every x-independent factor (the per-column bundles and
-    1/(beta)_{|r|}), each bucket summed by fsum.  Row sums never
-    exceed |m|, so caps = (|m|,)*n keeps every r; caps_i = min(x_i, |m|)
-    drops the r whose (-x_i)_{r_i} vanishes at one point x, pruning the
-    recursion as soon as a partial row sum overshoots.
+    Returns the r as an int array (one row each, graded-lex) and coeff_r
+    beside it.  Column j of a matrix is a composition of at most m_j with
+    factor (-m_j)_{|col|} * prod_i u_ij^{col_i} / col_i!; a matrix's product
+    is formed column by column from 1.0, each r bucket is summed by fsum and
+    divided by (beta)_{|r|}.  Nothing here depends on x.
     """
-    n = len(m)
-    factors = _column_factors(u_cols, m)
-    buckets: dict[MultiIndex, list[float]] = {}
-
-    def rec(j: int, rows: tuple[int, ...], fac: float):
-        if j == n:
-            buckets.setdefault(rows, []).append(fac)
-            return
-        for col, cfac in factors[j]:
-            if cfac == 0.0:
-                continue
-            new_rows = tuple(r + c for r, c in zip(rows, col))
-            if any(r > cap for r, cap in zip(new_rows, caps)):
-                continue
-            rec(j + 1, new_rows, fac * cfac)
-
-    rec(0, (0,) * n, 1.0)
-    items = []
-    for r in sorted(buckets, key=lambda t: (sum(t), tuple(-v for v in t))):
-        items.append((r, math.fsum(buckets[r]) / shifted_factorial(beta, sum(r))))
-    return tuple(items)
+    n, deg = len(m), sum(m)
+    rows = np.zeros((1, n), dtype=np.int64)
+    prods = np.ones(1)
+    for j, mj in enumerate(m):
+        cols = np.array(compositions_upto(mj, n), dtype=np.int64)
+        fac = np.array([shifted_factorial(-mj, s) for s in range(mj + 1)])[cols.sum(axis=1)]
+        for i in range(n):
+            powers = [u_cols[j][i] ** k / math.factorial(k) for k in range(mj + 1)]
+            fac = fac * np.array(powers)[cols[:, i]]
+        nonzero = fac != 0.0
+        rows = (rows[:, None, :] + cols[nonzero][None, :, :]).reshape(-1, n)
+        prods = (prods[:, None] * fac[nonzero][None, :]).ravel()
+    # key ordered as graded-lex: |r| first, then r_0, r_1, ... descending;
+    # ravel_multi_index raises, where a hand-made key would wrap, past int64
+    key = np.ravel_multi_index((rows.sum(axis=1), *(deg - rows[:, :-1].T)), (deg + 1,) * n)
+    order = np.argsort(key, kind="stable")
+    bounds = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1)).tolist()
+    prods = prods[order].tolist()
+    sums = [math.fsum(prods[a:b]) for a, b in zip(bounds, bounds[1:])]
+    r = rows[order[bounds[:-1]]]
+    poch = np.array([shifted_factorial(beta, d) for d in range(deg + 1)])
+    coeff = np.array(sums) / poch[r.sum(axis=1)]
+    r.flags.writeable = coeff.flags.writeable = False
+    return r, coeff
 
 
 def meixner_eval(
@@ -123,6 +100,7 @@ def meixner_eval(
 ) -> float:
     """P_m(x) by the terminating matrix sum at one point.
 
+    The r with some r_i > x_i are skipped, since (-x_i)_{r_i} vanishes there.
     Terms alternate in sign through the (-x_i) and (-m_j) shifted factorials,
     so each r bucket and the final sum over r go through fsum, which rounds
     once.
@@ -131,18 +109,13 @@ def meixner_eval(
     if len(m) != n or len(x) != n:
         raise ValueError(f"m and x must have length {n}")
     deg = sum(m)
-    caps = tuple(min(xi, deg) for xi in x)
-    coeffs = _row_sum_coeffs(p.beta, _u_columns(sd), tuple(m), caps)
-    xfac = [
-        [shifted_factorial(-xi, k) for k in range(cap + 1)]
-        for xi, cap in zip(x, caps)
-    ]
-    terms = []
-    for r, coef in coeffs:
-        for i, ri in enumerate(r):
-            coef *= xfac[i][ri]
-        terms.append(coef)
-    return math.fsum(terms)
+    r, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), tuple(m))
+    inside = (r <= x).all(axis=1)
+    r, terms = r[inside], coeff[inside]
+    for i, xi in enumerate(x):
+        xfac = [shifted_factorial(-xi, k) for k in range(min(xi, deg) + 1)]
+        terms = terms * np.array(xfac)[r[:, i]]
+    return math.fsum(terms.tolist())
 
 
 def pochhammer_table(kmax: int, vmax: int) -> np.ndarray:
@@ -159,15 +132,15 @@ def poly_values(
 ) -> np.ndarray:
     """P_m at every row of X (shape (npoints, n)), vectorized over points."""
     kmax = sum(m)
-    coeffs = _row_sum_coeffs(p.beta, _u_columns(sd), tuple(m), (kmax,) * len(m))
+    r, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), tuple(m))
     vmax = int(X.max()) if X.size else 0
     T = pochhammer_table(kmax, vmax)
     out = np.zeros(X.shape[0])
-    for r, coef in coeffs:
+    for ri, coef in zip(r.tolist(), coeff.tolist()):
         term = np.full(X.shape[0], coef)
-        for i, ri in enumerate(r):
-            if ri:
-                term *= T[ri, X[:, i]]
+        for i, rij in enumerate(ri):
+            if rij:
+                term *= T[rij, X[:, i]]
         out += term
     return out
 

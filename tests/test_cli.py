@@ -97,6 +97,24 @@ class TestConfig:
         assert f"{section}.{name} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--max-deg", "true"], ["--beta", "abc"], None],
+        ids=["max-deg-true", "beta-abc", "no-config"],
+    )
+    def test_usage_error_is_invalid_input(self, tmp_path, capsys, extra):
+        argv = ["spectrum"] if extra is None else ["spectrum", write_config(tmp_path), *extra]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INVALID
+        assert "usage: mvmeixner spectrum" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "usage: mvmeixner spectrum" in capsys.readouterr().out
+
 
 class TestSpectrumCommand:
     def test_valid_instance(self, tmp_path):

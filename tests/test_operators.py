@@ -84,6 +84,27 @@ class TestEigenCheck:
         p, sd = instance(2, 1.5)
         assert eigen_check(p, sd, (2, 1), enumerate_lattice(2, 10)) <= 1e-8
 
+    # Sets from the library sweep (perfbench/sweep.py, seeds 14 and 22) with
+    # one tiny rate: lambda_j - 1/c_i cancels near the pole 1/c_i, and the
+    # residuals reach 4.6e-8 and 1.2e-8.  Route 1 agrees with route 2 at both.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize(
+        "beta,c",
+        [
+            (2.0388549353664196, (6.646924521892182e-05, 0.6520200550897901)),
+            (0.8307026204332888, (0.0002901449994189801, 0.18227756026080527, 0.6843242877176497)),
+        ],
+        ids=["sweep-seed14", "sweep-seed22"],
+    )
+    def test_eigen_near_pole_tiny_c(self, beta, c):
+        from mvmeixner.model import compositions_upto
+        from mvmeixner.spectral import solve
+
+        p = ModelParams(beta, c)
+        sd = solve(p, cross_check=True)
+        sample = enumerate_lattice(p.n, 10)
+        assert max(eigen_check(p, sd, m, sample) for m in compositions_upto(3, p.n)) <= 1e-8
+
 
 def reference_matrices(p, S):
     """Dense H, [A_j] and L_BD on {|x| <= S}, assembled point by point from

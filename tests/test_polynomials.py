@@ -1,21 +1,32 @@
 import itertools
+import math
+import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from conftest import all_instances, instance
 from mvmeixner.errors import DegreeCapExceeded
-from mvmeixner.model import ModelParams, compositions_upto, enumerate_lattice
+from mvmeixner.model import (
+    ModelParams,
+    compositions_upto,
+    enumerate_lattice,
+    shifted_factorial,
+)
 from mvmeixner.polynomials import (
     TruncatedSeries,
+    _row_sum_coeffs,
+    _u_columns,
     genfun_all,
     genfun_eval,
     meixner_1d,
     meixner_eval,
+    pochhammer_table,
     poly_table,
     poly_values,
 )
-from mvmeixner.spectral import SpectralData
+from mvmeixner.spectral import SpectralData, solve
 
 
 class TestMeixnerEval:
@@ -93,6 +104,137 @@ class TestMeixnerEval:
             a = meixner_eval(p, sd, m, x)
             b = meixner_eval(p_perm, sd_perm, m, x_perm)
             assert b == pytest.approx(a, rel=1e-10, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The capped recursion route 1 used before its coefficient lists were built
+# in numpy, kept as the oracle: the lists must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _oracle_column_factors(u_cols, m):
+    """Per column j: [(column composition, its x-independent factor)]."""
+    n = len(m)
+    out = []
+    for j in range(n):
+        opts = []
+        for col in compositions_upto(m[j], n):
+            fac = shifted_factorial(-m[j], sum(col))
+            for i in range(n):
+                fac *= u_cols[j][i] ** col[i] / math.factorial(col[i])
+            opts.append((col, fac))
+        out.append(tuple(opts))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _oracle_row_sum_coeffs(beta, u_cols, m, caps):
+    """[(r, coeff_r)] over the row sums r <= caps, graded-lex, by recursion
+    over the columns with pruning as soon as a partial row sum overshoots."""
+    n = len(m)
+    factors = _oracle_column_factors(u_cols, m)
+    buckets = {}
+
+    def rec(j, rows, fac):
+        if j == n:
+            buckets.setdefault(rows, []).append(fac)
+            return
+        for col, cfac in factors[j]:
+            if cfac == 0.0:
+                continue
+            new_rows = tuple(r + c for r, c in zip(rows, col))
+            if any(r > cap for r, cap in zip(new_rows, caps)):
+                continue
+            rec(j + 1, new_rows, fac * cfac)
+
+    rec(0, (0,) * n, 1.0)
+    return tuple(
+        (r, math.fsum(buckets[r]) / shifted_factorial(beta, sum(r)))
+        for r in sorted(buckets, key=lambda t: (sum(t), tuple(-v for v in t)))
+    )
+
+
+def _oracle_meixner_eval(p, sd, m, x):
+    deg = sum(m)
+    caps = tuple(min(xi, deg) for xi in x)
+    terms = []
+    for r, coef in _oracle_row_sum_coeffs(p.beta, _u_columns(sd), tuple(m), caps):
+        for xi, ri in zip(x, r):
+            coef *= shifted_factorial(-xi, ri)
+        terms.append(coef)
+    return math.fsum(terms)
+
+
+def _oracle_poly_values(p, sd, m, X):
+    kmax = sum(m)
+    caps = (kmax,) * len(m)
+    T = pochhammer_table(kmax, int(X.max()))
+    out = np.zeros(X.shape[0])
+    for r, coef in _oracle_row_sum_coeffs(p.beta, _u_columns(sd), tuple(m), caps):
+        term = np.full(X.shape[0], coef)
+        for i, ri in enumerate(r):
+            if ri:
+                term *= T[ri, X[:, i]]
+        out += term
+    return out
+
+
+def _seeded_sets(n, count, seed):
+    """(p, sd) draws at dimension n: beta log-uniform on [0.3, 5] and |c| on
+    [0.2, 0.9], the rates at least 1.5-fold apart."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        beta = math.exp(rng.uniform(math.log(0.3), math.log(5.0)))
+        parts = [rng.uniform(1.0, 2.0) * 3.0**i for i in range(n)]
+        mass = rng.uniform(0.2, 0.9)
+        p = ModelParams(beta, [mass * v / sum(parts) for v in parts])
+        out.append((p, solve(p)))
+    return out
+
+
+class TestCoefficientLists:
+    """One coefficient list per m against the capped recursion, with == ."""
+
+    MAX_DEG = 5
+    RADIUS = 8
+
+    @pytest.mark.parametrize("n,sets,per_set", [(1, 4, 21), (2, 3, 21), (3, 2, 12), (4, 2, 6)])
+    def test_bit_identical_to_capped_recursion(self, n, sets, per_set):
+        rng = random.Random(100 + n)
+        lattice = enumerate_lattice(n, self.RADIUS)
+        X = np.array(lattice, dtype=int)
+        m_all = compositions_upto(self.MAX_DEG, n)
+        for p, sd in _seeded_sets(n, sets, seed=n):
+            for m in rng.sample(m_all, min(per_set, len(m_all))):
+                for x in rng.sample(lattice, min(40, len(lattice))):
+                    assert meixner_eval(p, sd, m, x) == _oracle_meixner_eval(p, sd, m, x), (p, m, x)
+                assert np.array_equal(poly_values(p, sd, m, X), _oracle_poly_values(p, sd, m, X))
+
+    def test_rows_outside_x_skipped(self):
+        # x_i < r_i for most of m's rows: only the r <= x contribute
+        p, sd = instance(3, 1.5)
+        m = (3, 2, 0)
+        r, _ = _row_sum_coeffs(p.beta, _u_columns(sd), m)
+        for x in ((0, 0, 5), (1, 0, 0), (0, 2, 1), (4, 0, 1)):
+            assert (r > np.array(x)).any(axis=1).any()
+            assert meixner_eval(p, sd, m, x) == _oracle_meixner_eval(p, sd, m, x)
+
+    def test_one_cache_entry_per_m(self):
+        p = ModelParams(1.2345, (0.17, 0.29))
+        sd = solve(p)
+        before = _row_sum_coeffs.cache_info().misses
+        for x in enumerate_lattice(2, 6):
+            meixner_eval(p, sd, (2, 1), x)
+        poly_values(p, sd, (2, 1), np.array(enumerate_lattice(2, 6)))
+        assert _row_sum_coeffs.cache_info().misses - before == 1
+
+    def test_lists_graded_lex_and_read_only(self):
+        p, sd = instance(2, 0.7)
+        r, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), (2, 1))
+        assert [tuple(v) for v in r.tolist()] == list(compositions_upto(3, 2))
+        assert r.shape[0] == coeff.shape[0]
+        assert not r.flags.writeable and not coeff.flags.writeable
 
 
 def _matrix_terms_mp(mp, beta, u, m):
