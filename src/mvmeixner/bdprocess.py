@@ -41,7 +41,7 @@ from .model import (
     weight,
     weight_vector,
 )
-from .polynomials import meixner_eval, poly_table, poly_values
+from .polynomials import PolyTable, _table_values, meixner_eval, poly_table
 from .spectral import SpectralData
 
 # Simulator limits and comparison hygiene.
@@ -154,21 +154,19 @@ def choose_orthogonality_S(
     """Smallest tried S with tail_bound(S) * max|P|^2 <= tail_eps.
 
     max|P| over |x| <= S is kept as a running maximum: each step evaluates
-    only the new shells S_prev < |x| <= S, and poly_values works point by
-    point, so every step sees the same values a full table would hold.
+    every P only on the new shells S_prev < |x| <= S, one shell at a time to
+    keep the arrays small, and the table evaluator works point by point, so
+    every step sees the same values a full table would hold.
     """
     m_list = compositions_upto(max_deg, p.n)
     max_p = 0.0
     done = -1  # shells |x| <= done are already in max_p
     S = start
     while S <= _ORTH_MAX_S:
-        X = np.array(
-            [x for s in range(done + 1, S + 1) for x in compositions(s, p.n)],
-            dtype=int,
-        )
-        for m in m_list:
+        for s in range(done + 1, S + 1):
+            values = _table_values(p, sd, m_list, np.array(compositions(s, p.n), dtype=int))
             # np.maximum, unlike max(), keeps a NaN
-            max_p = float(np.maximum(max_p, np.abs(poly_values(p, sd, m, X)).max()))
+            max_p = float(np.maximum(max_p, np.abs(values).max()))
         done = S
         if tail_bound(p, S) * max_p**2 <= tail_eps:
             return S
@@ -322,15 +320,31 @@ class _SpectralKernel:
     on {|x|, |y| <= S}, with the P table, W, Wbar and E computed once.
 
     A row or a column costs O(#m * N) for N lattice points; only `matrix`
-    builds the dense N x N kernel.
+    builds the dense N x N kernel.  `grow` extends S by evaluating only the
+    new shells.
     """
 
     def __init__(self, p: ModelParams, sd: SpectralData, M: int, S: int):
+        self.p, self.sd, self.S = p, sd, S
         self.table = poly_table(p, sd, M, S)
         self.w = weight_vector(p, self.table.x_list)
         self.wbar = wbar_vector(p, sd, self.table.m_list)
         self.energy = np.array([sd.energy(m) for m in self.table.m_list])
         self.index = lattice_index(p.n, S)
+
+    def grow(self, S: int) -> None:
+        """Extend the lattice to {|x| <= S}.  P and W are evaluated point by
+        point, so the grown arrays equal those built at S from scratch."""
+        p, m_list, x_list = self.p, self.table.m_list, self.table.x_list
+        new = [x for s in range(self.S + 1, S + 1) for x in compositions(s, p.n)]
+        values = np.empty((len(m_list), len(x_list) + len(new)))
+        values[:, :len(x_list)] = self.table.values
+        # the old table is dropped before the new shells are evaluated
+        self.table = PolyTable(m_list, x_list + tuple(new), values)
+        _table_values(p, self.sd, m_list, np.array(new, dtype=int), values[:, len(x_list):])
+        self.w = np.concatenate((self.w, weight_vector(p, new)))
+        self.index = lattice_index(p.n, S)
+        self.S = S
 
     def decay(self, t: float) -> np.ndarray:
         """Wbar(m) e^{-E(m) t} over the degree list."""
@@ -666,10 +680,12 @@ def _spectral_column(
 
     The sum over the whole lattice is exactly 1 for every M (orthogonality
     to P_0), so the mass test closes only the escape from |x| <= S; it is
-    blind to the spectral truncation at M.
+    blind to the spectral truncation at M.  Each step evaluates only the new
+    shells, and the column is the one a kernel built at the final S gives.
     """
+    kernel = _SpectralKernel(p, sd, M, S)
     while True:
-        col = _SpectralKernel(p, sd, M, S).column(x0, t)
-        if abs(1.0 - float(col.sum())) <= _COLUMN_MASS_TOL or S >= 120:
-            return col, enumerate_lattice(p.n, S)
-        S += 10
+        col = kernel.column(x0, t)
+        if abs(1.0 - float(col.sum())) <= _COLUMN_MASS_TOL or kernel.S >= 120:
+            return col, enumerate_lattice(p.n, kernel.S)
+        kernel.grow(kernel.S + 10)

@@ -336,10 +336,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _number(text: str) -> int | float:
+def integer(text: str) -> int | float:
     """An integer flag's value.  A non-integral number is passed on, so that
     RunConfig.validate rejects it with the message it gives in the config
-    file."""
+    file.  Text that is no number at all is a usage error, which argparse
+    words by this function's name: "invalid integer value"."""
     try:
         return int(text)
     except ValueError:
@@ -372,15 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("config", help="path to the JSON run config")
         sp.add_argument("--beta", type=float)
         sp.add_argument("--c", type=str, help="comma-separated rates, e.g. 0.2,0.3")
-        sp.add_argument("--S", type=_number)
-        sp.add_argument("--max-deg", dest="max_deg", type=_number)
-        sp.add_argument("--M", type=_number)
-        sp.add_argument("--D", type=_number)
+        sp.add_argument("--S", type=integer)
+        sp.add_argument("--max-deg", dest="max_deg", type=integer)
+        sp.add_argument("--M", type=integer)
+        sp.add_argument("--D", type=integer)
         sp.add_argument("--eps-orth", dest="eps_orth", type=float)
         sp.add_argument("--eps-eigen", dest="eps_eigen", type=float)
         sp.add_argument("--eps-ck", dest="eps_ck", type=float)
-        sp.add_argument("--seed", type=_number)
-        sp.add_argument("--n-traj", dest="n_traj", type=_number)
+        sp.add_argument("--seed", type=integer)
+        sp.add_argument("--n-traj", dest="n_traj", type=integer)
         sp.add_argument("--t", type=float)
         sp.add_argument("--output-dir", dest="output_dir", type=str)
     return parser

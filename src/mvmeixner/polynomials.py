@@ -1,6 +1,6 @@
 """Polynomial evaluation by two independent routes.
 
-Route 1 (`meixner_eval`, `poly_values`): the terminating matrix sum over
+Route 1 (`meixner_eval`, `poly_table`): the terminating matrix sum over
 n-by-n nonnegative integer matrices, collapsed onto row-sum vectors r,
 
     P_m(x) = sum_r coeff_r * prod_i (-x_i)_{r_i}.
@@ -9,8 +9,10 @@ A matrix contributes zero unless column j sums to at most m_j and row i to
 at most x_i, because a shifted factorial with a nonpositive-integer base
 vanishes.  coeff_r depends on (beta, u, m) only: `_row_sum_coeffs` builds
 one list of (r, coeff_r) per m in numpy, summing each r bucket with fsum,
-and caches it.  A single point reads the r <= x of that list, a whole table
-all of it.
+and caches it.  A single point reads the r <= x of its m's list with fsum;
+a table (`_table_values`, behind `poly_table` and `poly_values`) is built
+one r at a time over every m whose list holds r, on blocks of points, and
+each of its values is the one a loop over its own m's list gives.
 
 Route 2 (`genfun_eval`): expansion of the generating function
 
@@ -53,6 +55,14 @@ def _u_columns(sd: SpectralData) -> tuple[tuple[float, ...], ...]:
     return tuple(zip(*sd.u))
 
 
+def _graded_lex_key(rows: np.ndarray, deg: int) -> np.ndarray:
+    """A sort key for index rows with entries in [0, deg] and |r| <= deg that
+    orders them graded-lex: |r| first, then r_0, r_1, ... descending.
+    ravel_multi_index raises, where a hand-made key would wrap, past int64."""
+    n = rows.shape[1]
+    return np.ravel_multi_index((rows.sum(axis=1), *(deg - rows[:, :-1].T)), (deg + 1,) * n)
+
+
 # One entry per (beta, u, m); 1024 entries bound the memory held when many
 # parameter sets are evaluated in one process.
 @lru_cache(maxsize=1024)
@@ -81,9 +91,7 @@ def _row_sum_coeffs(
         nonzero = fac != 0.0
         rows = (rows[:, None, :] + cols[nonzero][None, :, :]).reshape(-1, n)
         prods = (prods[:, None] * fac[nonzero][None, :]).ravel()
-    # key ordered as graded-lex: |r| first, then r_0, r_1, ... descending;
-    # ravel_multi_index raises, where a hand-made key would wrap, past int64
-    key = np.ravel_multi_index((rows.sum(axis=1), *(deg - rows[:, :-1].T)), (deg + 1,) * n)
+    key = _graded_lex_key(rows, deg)
     order = np.argsort(key, kind="stable")
     bounds = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1)).tolist()
     prods = prods[order].tolist()
@@ -127,22 +135,103 @@ def pochhammer_table(kmax: int, vmax: int) -> np.ndarray:
     return T
 
 
+# One row sum r of a merged table: its (i, r_i) with r_i > 0, the rows of the
+# m whose lists hold r, and their coeff_r as a column.
+_Group = tuple[list[tuple[int, int]], slice | np.ndarray, np.ndarray]
+
+# Bytes of the arrays _sum_terms works on for one block of points (its sums,
+# one term block and the gathered (-x_i)_k rows); a table is built block by
+# block so that its temporaries stay this small however many points it has.
+_BLOCK_BYTES = 1 << 18
+
+
+def _table_values(
+    p: ModelParams,
+    sd: SpectralData,
+    m_list: Sequence[MultiIndex],
+    X: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """P_m at every row of X (shape (npoints, n)) for every m of m_list, as
+    an array of shape (len(m_list), npoints), written into `out` if given.
+
+    Each row sum r of the m's coefficient lists is visited once, in
+    graded-lex order, over the m that hold it (see _sum_terms).  Each m's
+    terms are thus formed and added in its own list's order, from 0.0, so
+    every value is the one a loop over that list alone would give, and does
+    not depend on the other m or points.
+    """
+    groups = _merged_lists(p, sd, m_list)
+    if out is None:
+        out = np.empty((len(m_list), len(X)))
+    if not groups or not len(X):
+        out[...] = 0.0
+        return out
+    kmax = max(sum(m) for m in m_list)
+    T = pochhammer_table(kmax, int(X.max()))
+    step = max(1, _BLOCK_BYTES // (8 * (2 * len(m_list) + p.n * (kmax + 1))))
+    for start in range(0, len(X), step):
+        out[:, start:start + step] = _sum_terms(groups, len(m_list), T, X[start:start + step])
+    return out
+
+
+def _merged_lists(
+    p: ModelParams, sd: SpectralData, m_list: Sequence[MultiIndex]
+) -> list[_Group]:
+    """The coefficient lists of m_list merged by row sum, one group per r in
+    graded-lex order."""
+    if not m_list:
+        return []
+    u_cols = _u_columns(sd)
+    lists = [_row_sum_coeffs(p.beta, u_cols, tuple(m)) for m in m_list]
+    R = np.concatenate([r for r, _ in lists])
+    owner = np.repeat(np.arange(len(lists)), [len(c) for _, c in lists])
+    coeff = np.concatenate([c for _, c in lists])
+    key = _graded_lex_key(R, max(sum(m) for m in m_list))
+    order = np.argsort(key, kind="stable")
+    key, owner, coeff = key[order], owner[order], coeff[order][:, None]
+    starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
+    ends = [*starts[1:], len(key)]
+    first, last = owner[starts].tolist(), owner[np.array(ends) - 1].tolist()
+    # the rows of an r ascend and are mostly consecutive; a slice for them
+    # lets numpy add in place instead of gathering and scattering
+    return [
+        (
+            [(i, k) for i, k in enumerate(r) if k],
+            slice(f, l + 1) if l - f == b - a - 1 else owner[a:b],
+            coeff[a:b],
+        )
+        for r, a, b, f, l in zip(R[order[starts]].tolist(), starts, ends, first, last)
+    ]
+
+
+def _sum_terms(
+    groups: list[_Group],
+    nrows: int,
+    T: np.ndarray,
+    X: np.ndarray,
+) -> np.ndarray:
+    """The table rows of one block of points.  For each group of
+    _merged_lists, the term block coeff_r * (-x_i)_{r_i} * ... is multiplied
+    left to right and added into the rows of the m that hold r."""
+    gathered = [T[:, X[:, i]] for i in range(X.shape[1])]
+    acc = np.zeros((nrows, len(X)))
+    for factors, rows, coef in groups:
+        term = coef
+        if factors:
+            (i, k), *rest = factors
+            term = coef * gathered[i][k]
+            for i, k in rest:
+                term *= gathered[i][k]
+        acc[rows] += term
+    return acc
+
+
 def poly_values(
     p: ModelParams, sd: SpectralData, m: MultiIndex, X: np.ndarray
 ) -> np.ndarray:
     """P_m at every row of X (shape (npoints, n)), vectorized over points."""
-    kmax = sum(m)
-    r, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), tuple(m))
-    vmax = int(X.max()) if X.size else 0
-    T = pochhammer_table(kmax, vmax)
-    out = np.zeros(X.shape[0])
-    for ri, coef in zip(r.tolist(), coeff.tolist()):
-        term = np.full(X.shape[0], coef)
-        for i, rij in enumerate(ri):
-            if rij:
-                term *= T[rij, X[:, i]]
-        out += term
-    return out
+    return _table_values(p, sd, (m,), X)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +380,14 @@ class PolyTable:
     def write_csv(self, path: str | Path) -> None:
         """Header row of x indices, first column of m indices, cells with 17
         significant digits (round-trip exact for doubles), written one row at
-        a time so that only one line of text is held in memory."""
+        a time so that only one line of text is held in memory.  A row is
+        formatted by one %-operation over its Python floats, which gives the
+        bytes f"{v:.17g}" gives per cell."""
+        cells = ",".join(["%.17g"] * len(self.x_list))
         with Path(path).open("w") as fh:
             fh.write("m\\x," + ",".join(_fmt_midx(x) for x in self.x_list) + "\n")
             for m, row in zip(self.m_list, self.values):
-                fh.write(_fmt_midx(m) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+                fh.write(_fmt_midx(m) + "," + cells % tuple(row.tolist()) + "\n")
 
 
 def _fmt_midx(m: MultiIndex) -> str:
@@ -309,7 +401,4 @@ def poly_table(
     m_list = tuple(compositions_upto(max_deg, p.n))
     x_list = tuple(enumerate_lattice(p.n, S))
     X = np.array(x_list, dtype=int)
-    values = np.empty((len(m_list), len(x_list)))
-    for a, m in enumerate(m_list):
-        values[a] = poly_values(p, sd, m, X)
-    return PolyTable(m_list=m_list, x_list=x_list, values=values)
+    return PolyTable(m_list=m_list, x_list=x_list, values=_table_values(p, sd, m_list, X))

@@ -6,8 +6,10 @@ import pytest
 
 from conftest import all_instances, instance
 from mvmeixner import bdprocess
+from mvmeixner import polynomials
 from mvmeixner.bdprocess import (
     ComparisonReport,
+    _SpectralKernel,
     _spectral_column,
     chapman_kolmogorov_check,
     compare_sim_spectral,
@@ -317,6 +319,27 @@ class TestKernelViews:
         S_col = sum(lat[-1])
         dense = transition_matrix(p, sd, tp, M, S_col)[:, lattice_index(p.n, S_col)[y]]
         assert np.abs(col - dense).max() <= 1e-14
+
+    def test_spectral_column_grows_by_shells(self, monkeypatch):
+        # from the origin at t=1 most of the mass lies beyond |x| = 4, so the
+        # column grows S twice
+        p, sd = instance(2, 1.5)
+        x0, t, M, S = (0, 0), 1.0, 8, 4
+        evaluated = []
+        real = polynomials._table_values
+
+        def counting(p_, sd_, m_list, X, *args):
+            evaluated.extend(map(tuple, X.tolist()))
+            return real(p_, sd_, m_list, X, *args)
+
+        monkeypatch.setattr(polynomials, "_table_values", counting)
+        monkeypatch.setattr(bdprocess, "_table_values", counting)
+        col, lat = _spectral_column(p, sd, x0, t, M, S)
+        monkeypatch.undo()
+        S_final = sum(lat[-1])
+        assert S_final > S + 10
+        assert np.array_equal(col, _SpectralKernel(p, sd, M, S_final).column(x0, t))
+        assert sorted(evaluated) == sorted(lat)
 
     def test_chapman_kolmogorov_builds_one_table(self, monkeypatch):
         calls = []

@@ -98,16 +98,22 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "extra",
-        [["--max-deg", "true"], ["--beta", "abc"], None],
+        "extra,message",
+        [
+            (["--max-deg", "true"], "argument --max-deg: invalid integer value: 'true'"),
+            (["--beta", "abc"], "argument --beta: invalid float value: 'abc'"),
+            (None, "the following arguments are required: config"),
+        ],
         ids=["max-deg-true", "beta-abc", "no-config"],
     )
-    def test_usage_error_is_invalid_input(self, tmp_path, capsys, extra):
+    def test_usage_error_is_invalid_input(self, tmp_path, capsys, extra, message):
         argv = ["spectrum"] if extra is None else ["spectrum", write_config(tmp_path), *extra]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_INVALID
-        assert "usage: mvmeixner spectrum" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage: mvmeixner spectrum" in err
+        assert f"mvmeixner spectrum: error: {message}\n" in err
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

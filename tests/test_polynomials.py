@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+import unittest.mock
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import all_instances, instance
 from mvmeixner.errors import DegreeCapExceeded
@@ -14,9 +16,12 @@ from mvmeixner.model import (
     enumerate_lattice,
     shifted_factorial,
 )
+from mvmeixner import polynomials
 from mvmeixner.polynomials import (
+    PolyTable,
     TruncatedSeries,
     _row_sum_coeffs,
+    _table_values,
     _u_columns,
     genfun_all,
     genfun_eval,
@@ -237,6 +242,45 @@ class TestCoefficientLists:
         assert not r.flags.writeable and not coeff.flags.writeable
 
 
+@lru_cache(maxsize=None)
+def _table_sets(n):
+    return _seeded_sets(n, 2, seed=50 + n)
+
+
+class TestTableEvaluator:
+    """The one-pass table against the per-m loop, with == and equal signs,
+    over m lists of mixed degree in any order (repeats included) and point
+    sets cut into blocks whose last one is partial."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_m_loop(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        p, sd = data.draw(st.sampled_from(_table_sets(n)), label="set")
+        degrees = compositions_upto(7 - n, n)
+        m_list = data.draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=6), label="m_list")
+        step = data.draw(st.integers(2, 9), label="points per block")
+        blocks = data.draw(st.integers(1, 4), label="full blocks")
+        last = data.draw(st.integers(1, step - 1), label="points in the last block")
+        point = st.tuples(*[st.integers(0, 12)] * n)
+        X = np.array(
+            data.draw(st.lists(point, min_size=blocks * step + last, max_size=blocks * step + last)),
+            dtype=int,
+        )
+        kmax = max(sum(m) for m in m_list)
+        block_bytes = 8 * step * (2 * len(m_list) + n * (kmax + 1))
+        sum_terms = unittest.mock.Mock(wraps=polynomials._sum_terms)
+        with (
+            unittest.mock.patch.object(polynomials, "_BLOCK_BYTES", block_bytes),
+            unittest.mock.patch.object(polynomials, "_sum_terms", sum_terms),
+        ):
+            got = _table_values(p, sd, m_list, X)
+        assert [len(c.args[3]) for c in sum_terms.call_args_list] == [step] * blocks + [last]
+        want = np.array([_oracle_poly_values(p, sd, m, X) for m in m_list])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _matrix_terms_mp(mp, beta, u, m):
     """Every n-by-n matrix with column sums <= m as (row sums, its term of the
     matrix sum without the (-x_i)_{r_i} factors), in mpmath arithmetic on
@@ -426,6 +470,29 @@ class TestPolyTable:
             assert vals[k] == pytest.approx(
                 meixner_eval(p, sd, (1, 0, 2), tuple(X[k])), rel=1e-11, abs=1e-11
             )
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[-0.0, 5e-324, 1e308, -1e-300, 1.0, -3.0, 2.0**60, 0.1]],
+            [[1.0], [-0.0], [5e-324], [-1e-300]],
+        ],
+        ids=["edge-values", "one-column"],
+    )
+    def test_csv_bytes_match_per_cell_format(self, tmp_path, values):
+        values = np.array(values)
+        k = values.shape[1]
+        table = PolyTable(
+            m_list=tuple((a, 0) for a in range(len(values))),
+            x_list=tuple((b, 1) for b in range(k)),
+            values=values,
+        )
+        path = tmp_path / "table.csv"
+        table.write_csv(path)
+        lines = ["m\\x," + ",".join(f"{b}:1" for b in range(k))]
+        for a, row in enumerate(values):
+            lines.append(f"{a}:0," + ",".join(f"{v:.17g}" for v in row))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_csv_round_trip_exact(self, tmp_path):
         p, sd = instance(2, 1.5)
