@@ -8,9 +8,12 @@ only; the infinite lattice has no boundary and we refuse to invent one.
 The process moves x only to x +- e_j.  `_couplings` lists every such pair
 x <-> x+e_j inside the truncation once, with the rates B(x) and D_j(x) over
 the lattice, and `build_H`, `build_A` and `build_LBD` are array expressions
-over that one list.  H-tilde is written once, in `_htilde`, which reads
-values through a callable: `apply_Htilde` hands it a tabulated lattice
-function, the generating-function identity the closed form G(x; t).
+over that one list.  H-tilde is written once, in `_htilde`, as array code
+over a block of points that reads values through a callable on point
+arrays: `eigen_check` hands it P_m tabulated once and read by mixed-radix
+key (`_lattice_keys`, the index `_couplings` uses too), `apply_Htilde` a
+tabulated lattice function, the generating-function identity the closed
+form G(x; t).  Each point's value is the one a scalar loop over j gives.
 
 scipy.sparse is imported inside the functions that build sparse matrices,
 so that importing the package does not load scipy.
@@ -29,7 +32,6 @@ from .model import (
     ModelParams,
     MultiIndex,
     enumerate_lattice,
-    unit_shift,
     weight_vector,
 )
 from .polynomials import poly_values
@@ -65,32 +67,33 @@ class LatticeFunction:
         return self.values[x]
 
 
-def poly_lattice_function(
-    p: ModelParams, sd: SpectralData, m: MultiIndex, S: int
-) -> LatticeFunction:
-    """P_m tabulated on {|x| <= S}."""
-    lat = enumerate_lattice(p.n, S)
-    vals = poly_values(p, sd, m, np.array(lat, dtype=int))
-    return LatticeFunction(S=S, values=dict(zip(lat, vals.tolist())))
-
-
 def _htilde(
-    p: ModelParams, x: MultiIndex, f: Callable[[MultiIndex], float]
-) -> float:
+    p: ModelParams, X: np.ndarray, f: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
     """(H-tilde f)(x) = (beta+|x|) sum_j (f(x) - f(x+e_j))
-                       + sum_j (x_j/c_j) (f(x) - f(x-e_j)).
+                       + sum_j (x_j/c_j) (f(x) - f(x-e_j))
 
-    The x_j = 0 death term contributes nothing, so the lattice boundary at
-    zero is automatic.
+    at every row x of the int array X (shape (N, n)); f maps an array of
+    points to their values.  Each point's terms are added from 0.0 in the
+    order j = 0, 1, ..., the birth term of j before its death term.  The
+    death term is added only where x_j > 0, so the lattice boundary at zero
+    is automatic.
     """
-    fx = f(x)
-    b = birth_rate(p, x)
-    out = 0.0
+    fx = f(X)
+    b = p.beta + X.sum(axis=1)
+    unit = np.eye(p.n, dtype=X.dtype)
+    out = np.zeros(len(X))
     for j in range(p.n):
-        out += b * (fx - f(unit_shift(x, j, +1)))
-        if x[j]:
-            out += death_rate(p, x, j) * (fx - f(unit_shift(x, j, -1)))
+        out += b * (fx - f(X + unit[j]))
+        inner = X[:, j] > 0
+        out[inner] += (X[inner, j] / p.c[j]) * (fx[inner] - f(X[inner] - unit[j]))
     return out
+
+
+def _htilde_at(p: ModelParams, x: MultiIndex, g: Callable[[MultiIndex], float]) -> float:
+    """(H-tilde g)(x) at one point, for g read one point at a time."""
+    read = lambda Y: np.array([g(y) for y in map(tuple, Y.tolist())])
+    return float(_htilde(p, np.array([x], dtype=np.int64), read)[0])
 
 
 def apply_Htilde(p: ModelParams, f: LatticeFunction, x: MultiIndex) -> float:
@@ -100,7 +103,7 @@ def apply_Htilde(p: ModelParams, f: LatticeFunction, x: MultiIndex) -> float:
         raise TruncationBoundary(
             f"x={x} has |x|+1 > S={f.S}; apply at interior points only"
         )
-    return _htilde(p, x, f.__getitem__)
+    return _htilde_at(p, x, f.__getitem__)
 
 
 def eigen_check(
@@ -109,19 +112,22 @@ def eigen_check(
     m: MultiIndex,
     sample: Iterable[MultiIndex],
 ) -> float:
-    """max over sample of |H-tilde P_m - E(m) P_m| / (1 + |P_m|), E(m) = sum m_j lam_j."""
-    sample = list(sample)
-    if not sample:
+    """max over sample of |H-tilde P_m - E(m) P_m| / (1 + |P_m|), E(m) = sum m_j lam_j;
+    NaN if any residual is NaN.
+
+    P_m is tabulated once on {|x| <= max |x| + 1}, and x and x +- e_j are
+    found in the table by their mixed-radix keys."""
+    X = np.array(list(sample), dtype=np.int64).reshape(-1, p.n)
+    if not len(X):
         return 0.0
-    S = max(sum(x) for x in sample) + 1
-    f = poly_lattice_function(p, sd, m, S)
-    energy = sd.energy(m)
-    worst = 0.0
-    for x in sample:
-        fx = f[x]
-        res = abs(apply_Htilde(p, f, x) - energy * fx) / (1.0 + abs(fx))
-        worst = max(worst, res)
-    return worst
+    S = int(X.sum(axis=1).max()) + 1
+    lattice = np.array(enumerate_lattice(p.n, S), dtype=np.int64)
+    values = poly_values(p, sd, m, lattice)
+    radix, key, order = _lattice_keys(lattice, S)
+    read = lambda Y: values[order[np.searchsorted(key, Y @ radix, sorter=order)]]
+    fx = read(X)
+    res = np.abs(_htilde(p, X, read) - sd.energy(m) * fx) / (1.0 + np.abs(fx))
+    return float(res.max())  # NaN if any residual is NaN
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +149,19 @@ class _Couplings:
     out_rate: np.ndarray
 
 
+def _lattice_keys(X: np.ndarray, S: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mixed-radix keys of the points X (shape (N, n)) of {|x| <= S}:
+    (radix, key, order) with radix[i] = (S+1)^i, key = X @ radix and order
+    sorting key, so the row of a point y of X is
+    order[searchsorted(key, y @ radix, sorter=order)].  The keys are Python
+    ints where int64 would wrap."""
+    n = X.shape[1]
+    wide = (S + 1) ** n > np.iinfo(np.int64).max
+    radix = np.array([(S + 1) ** i for i in range(n)], dtype=object if wide else np.int64)
+    key = X @ radix
+    return radix, key, np.argsort(key, kind="stable")
+
+
 def _couplings(p: ModelParams, S: int) -> _Couplings:
     X = np.array(enumerate_lattice(p.n, S), dtype=np.int64).reshape(-1, p.n)
     total = X.sum(axis=1)
@@ -151,14 +170,8 @@ def _couplings(p: ModelParams, S: int) -> _Couplings:
     out_rate = np.array(
         [math.fsum(row) for row in (birth[:, None] + death).tolist()]
     )
-    # x+e_j is found by its mixed-radix key, key(x) + (S+1)^j; the keys are
-    # Python ints where int64 would wrap
-    wide = (S + 1) ** p.n > np.iinfo(np.int64).max
-    radix = np.array(
-        [(S + 1) ** i for i in range(p.n)], dtype=object if wide else np.int64
-    )
-    key = X @ radix
-    order = np.argsort(key)
+    # x+e_j is found by its mixed-radix key, key(x) + (S+1)^j
+    radix, key, order = _lattice_keys(X, S)
     inner = np.flatnonzero(total < S)
     a = np.repeat(inner, p.n)
     j = np.tile(np.arange(p.n), len(inner))
@@ -323,7 +336,7 @@ def genfun_identity_richardson(
     (residual).  Each one-step residual is O(h^2) when the identity holds,
     so residual_h / residual_h2 near 4 confirms the scaling.
     """
-    lhs = _htilde(p, x, lambda y: genfun_value(p, sd, y, t))
+    lhs = _htilde_at(p, x, lambda y: genfun_value(p, sd, y, t))
     rhs_h = _scaling_deriv_fd(p, sd, x, t, h)
     rhs_h2 = _scaling_deriv_fd(p, sd, x, t, h / 2)
     rich = (4.0 * rhs_h2 - rhs_h) / 3.0

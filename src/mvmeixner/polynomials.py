@@ -8,19 +8,22 @@ n-by-n nonnegative integer matrices, collapsed onto row-sum vectors r,
 A matrix contributes zero unless column j sums to at most m_j and row i to
 at most x_i, because a shifted factorial with a nonpositive-integer base
 vanishes.  coeff_r depends on (beta, u, m) only: `_row_sum_coeffs` builds
-one list of (r, coeff_r) per m in numpy, summing each r bucket with fsum,
-and caches it.  A single point reads the r <= x of its m's list with fsum;
-a table (`_table_values`, behind `poly_table` and `poly_values`) is built
-one r at a time over every m whose list holds r, on blocks of points, and
-each of its values is the one a loop over its own m's list gives.
+one list of (rank of r, coeff_r) per m in numpy, summing each r bucket with
+fsum, and caches it.  A single point (`meixner_eval`) reads the r <= x of
+its m's list in Python floats and sums them with fsum; a table
+(`_table_values`, behind `poly_table` and `poly_values`) is built one r at
+a time over every m whose list holds r, on blocks of points, and each of
+its values is the one a loop over its own m's list gives.
 
-Route 2 (`genfun_eval`): expansion of the generating function
+Route 2 (`genfun_eval`, `genfun_all`): expansion of the generating function
 
     G(x; t) = (1 - |t|)^(-beta-|x|) * prod_i (1 - sum_j b_ij t_j)^(x_i)
 
 as a truncated multivariate power series in t; the coefficient of t^m is
-(beta)_{|m|} / m! times the polynomial.  The two routes share no code and
-serve as each other's oracle.
+(beta)_{|m|} / m! times the polynomial.  A series is one vector over the
+exponents |k| <= cap, and a product sums the pairs of a cached table in a
+fixed order, so each coefficient is the one a loop over the pairs gives.
+The two routes share no code and serve as each other's oracle.
 """
 
 from __future__ import annotations
@@ -63,6 +66,22 @@ def _graded_lex_key(rows: np.ndarray, deg: int) -> np.ndarray:
     return np.ravel_multi_index((rows.sum(axis=1), *(deg - rows[:, :-1].T)), (deg + 1,) * n)
 
 
+@lru_cache(maxsize=64)
+def _composition_array(deg: int, n: int) -> np.ndarray:
+    """compositions_upto(deg, n) as a read-only int array, one row each."""
+    out = np.array(compositions_upto(deg, n), dtype=np.intp).reshape(-1, n)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=64)
+def _nonzero_parts(deg: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each r of compositions_upto(deg, n), its (i, r_i) with r_i > 0."""
+    return tuple(
+        tuple((i, k) for i, k in enumerate(r) if k) for r in compositions_upto(deg, n)
+    )
+
+
 # One entry per (beta, u, m); 1024 entries bound the memory held when many
 # parameter sets are evaluated in one process.
 @lru_cache(maxsize=1024)
@@ -73,11 +92,13 @@ def _row_sum_coeffs(
 
         P_m(x) = sum_r coeff_r * prod_i (-x_i)_{r_i}.
 
-    Returns the r as an int array (one row each, graded-lex) and coeff_r
-    beside it.  Column j of a matrix is a composition of at most m_j with
-    factor (-m_j)_{|col|} * prod_i u_ij^{col_i} / col_i!; a matrix's product
-    is formed column by column from 1.0, each r bucket is summed by fsum and
-    divided by (beta)_{|r|}.  Nothing here depends on x.
+    Returns each r as its rank in compositions_upto(|m|, n), ascending (so
+    graded-lex), and coeff_r beside it.  compositions_upto(d, n) is a prefix
+    of compositions_upto(d', n) for d <= d', so a rank names the same r in
+    every list of that n.  Column j of a matrix is a composition of at most
+    m_j with factor (-m_j)_{|col|} * prod_i u_ij^{col_i} / col_i!; a
+    matrix's product is formed column by column from 1.0, each r bucket is
+    summed by fsum and divided by (beta)_{|r|}.  Nothing here depends on x.
     """
     n, deg = len(m), sum(m)
     rows = np.zeros((1, n), dtype=np.int64)
@@ -91,16 +112,18 @@ def _row_sum_coeffs(
         nonzero = fac != 0.0
         rows = (rows[:, None, :] + cols[nonzero][None, :, :]).reshape(-1, n)
         prods = (prods[:, None] * fac[nonzero][None, :]).ravel()
-    key = _graded_lex_key(rows, deg)
-    order = np.argsort(key, kind="stable")
-    bounds = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1)).tolist()
+    every = _graded_lex_key(_composition_array(deg, n), deg)
+    rank = np.searchsorted(every, _graded_lex_key(rows, deg))
+    order = np.argsort(rank, kind="stable")
+    bounds = np.flatnonzero(np.diff(rank[order], prepend=-1, append=-1)).tolist()
     prods = prods[order].tolist()
     sums = [math.fsum(prods[a:b]) for a, b in zip(bounds, bounds[1:])]
-    r = rows[order[bounds[:-1]]]
+    first = order[bounds[:-1]]
+    rank = rank[first]
     poch = np.array([shifted_factorial(beta, d) for d in range(deg + 1)])
-    coeff = np.array(sums) / poch[r.sum(axis=1)]
-    r.flags.writeable = coeff.flags.writeable = False
-    return r, coeff
+    coeff = np.array(sums) / poch[rows[first].sum(axis=1)]
+    rank.flags.writeable = coeff.flags.writeable = False
+    return rank, coeff
 
 
 def meixner_eval(
@@ -109,21 +132,35 @@ def meixner_eval(
     """P_m(x) by the terminating matrix sum at one point.
 
     The r with some r_i > x_i are skipped, since (-x_i)_{r_i} vanishes there.
-    Terms alternate in sign through the (-x_i) and (-m_j) shifted factorials,
-    so each r bucket and the final sum over r go through fsum, which rounds
-    once.
+    Each kept term is coeff_r * (-x_0)_{r_0} * (-x_1)_{r_1} * ..., formed
+    left to right in Python floats with the factors (-x_i)_0 = 1 left out.
+    Terms alternate in sign through the (-x_i) and (-m_j) shifted
+    factorials, so each r bucket and the final sum over r go through fsum,
+    which rounds once.
     """
     n = p.n
     if len(m) != n or len(x) != n:
         raise ValueError(f"m and x must have length {n}")
     deg = sum(m)
-    r, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), tuple(m))
-    inside = (r <= x).all(axis=1)
-    r, terms = r[inside], coeff[inside]
-    for i, xi in enumerate(x):
-        xfac = [shifted_factorial(-xi, k) for k in range(min(xi, deg) + 1)]
-        terms = terms * np.array(xfac)[r[:, i]]
-    return math.fsum(terms.tolist())
+    rank, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), tuple(m))
+    # xfac[i][k] = (-x_i)_k, built as shifted_factorial builds it
+    xfac = []
+    for xi in x:
+        fac = [1.0]
+        for k in range(min(xi, deg)):
+            fac.append(fac[-1] * (k - xi))
+        xfac.append(fac)
+    parts = _nonzero_parts(deg, n)
+    terms = []
+    # memoryview reads the cached arrays as Python ints and floats
+    for k, term in zip(memoryview(rank), memoryview(coeff)):
+        for i, ri in parts[k]:
+            if ri > x[i]:
+                break
+            term *= xfac[i][ri]
+        else:
+            terms.append(term)
+    return math.fsum(terms)
 
 
 def pochhammer_table(kmax: int, vmax: int) -> np.ndarray:
@@ -137,7 +174,7 @@ def pochhammer_table(kmax: int, vmax: int) -> np.ndarray:
 
 # One row sum r of a merged table: its (i, r_i) with r_i > 0, the rows of the
 # m whose lists hold r, and their coeff_r as a column.
-_Group = tuple[list[tuple[int, int]], slice | np.ndarray, np.ndarray]
+_Group = tuple[tuple[tuple[int, int], ...], slice | np.ndarray, np.ndarray]
 
 # Bytes of the arrays _sum_terms works on for one block of points (its sums,
 # one term block and the gathered (-x_i)_k rows); a table is built block by
@@ -179,29 +216,36 @@ def _merged_lists(
     p: ModelParams, sd: SpectralData, m_list: Sequence[MultiIndex]
 ) -> list[_Group]:
     """The coefficient lists of m_list merged by row sum, one group per r in
-    graded-lex order."""
+    graded-lex order, its m in m_list order.  Each list's ranks slot its
+    entries straight into their groups, so no list is sorted again."""
     if not m_list:
         return []
-    u_cols = _u_columns(sd)
-    lists = [_row_sum_coeffs(p.beta, u_cols, tuple(m)) for m in m_list]
-    R = np.concatenate([r for r, _ in lists])
-    owner = np.repeat(np.arange(len(lists)), [len(c) for _, c in lists])
-    coeff = np.concatenate([c for _, c in lists])
-    key = _graded_lex_key(R, max(sum(m) for m in m_list))
-    order = np.argsort(key, kind="stable")
-    key, owner, coeff = key[order], owner[order], coeff[order][:, None]
-    starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
-    ends = [*starts[1:], len(key)]
-    first, last = owner[starts].tolist(), owner[np.array(ends) - 1].tolist()
+    lists = [_row_sum_coeffs(p.beta, _u_columns(sd), tuple(m)) for m in m_list]
+    parts = _nonzero_parts(max(sum(m) for m in m_list), p.n)
+    counts = np.zeros(len(parts) + 1, dtype=np.intp)
+    for rank, _ in lists:
+        counts[rank + 1] += 1
+    bounds = np.cumsum(counts)  # the entries of rank k fill bounds[k]:bounds[k+1]
+    fill = bounds[:-1].copy()
+    owner = np.empty(bounds[-1], dtype=np.intp)
+    coeff = np.empty((bounds[-1], 1))
+    for i, (rank, c) in enumerate(lists):
+        slots = fill[rank]
+        owner[slots] = i
+        coeff[slots, 0] = c
+        fill[rank] += 1
+    ranks = np.flatnonzero(counts[1:])
+    starts, ends = bounds[ranks], bounds[ranks + 1]
+    first, last = owner[starts].tolist(), owner[ends - 1].tolist()
     # the rows of an r ascend and are mostly consecutive; a slice for them
     # lets numpy add in place instead of gathering and scattering
     return [
         (
-            [(i, k) for i, k in enumerate(r) if k],
+            parts[r],
             slice(f, l + 1) if l - f == b - a - 1 else owner[a:b],
             coeff[a:b],
         )
-        for r, a, b, f, l in zip(R[order[starts]].tolist(), starts, ends, first, last)
+        for r, a, b, f, l in zip(ranks.tolist(), starts.tolist(), ends.tolist(), first, last)
     ]
 
 
@@ -238,66 +282,93 @@ def poly_values(
 # Route 2: generating-function expansion
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _pair_table(n_vars: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of exponents (ka, kb) of compositions_upto(cap, n_vars)
+    with |ka| + |kb| <= cap, as index arrays (ia, ib, k) into that tuple with
+    k the index of ka + kb; ka outer, kb inner, both graded-lex."""
+    comps = compositions_upto(cap, n_vars)
+    index = {k: i for i, k in enumerate(comps)}
+    ia, ib, k = [], [], []
+    for a, ka in enumerate(comps):
+        # the kb with |kb| <= cap - |ka| are a graded-lex prefix
+        for b, kb in enumerate(comps[:len(compositions_upto(cap - sum(ka), n_vars))]):
+            ia.append(a)
+            ib.append(b)
+            k.append(index[tuple(u + v for u, v in zip(ka, kb))])
+    return tuple(np.array(v, dtype=np.intp) for v in (ia, ib, k))
+
+
+def _inverse_factorials(n_vars: int, cap: int, scale: Sequence[float]) -> np.ndarray:
+    """scale[|k|] / k_0! / k_1! / ... at every k of compositions_upto(cap,
+    n_vars), divided left to right as a Python loop over k would."""
+    K = _composition_array(cap, n_vars)
+    out = np.array(scale)[K.sum(axis=1)]
+    fact = np.array([float(math.factorial(k)) for k in range(cap + 1)])
+    for i in range(n_vars):
+        out /= fact[K[:, i]]
+    return out
+
+
 class TruncatedSeries:
     """Multivariate power series truncated at a total-degree cap.
 
-    coeffs maps exponent tuples to floats; absent means zero.  All arithmetic
-    stays below the cap, which keeps every coefficient up to the cap exact:
-    discarded higher-order terms cannot feed back into lower degrees.
+    values holds the coefficient of t^k at each k of compositions_upto(cap,
+    n_vars), in that graded-lex order.  All arithmetic stays below the cap,
+    which keeps every coefficient up to the cap exact: discarded
+    higher-order terms cannot feed back into lower degrees.
     """
 
-    __slots__ = ("n_vars", "cap", "coeffs")
+    __slots__ = ("n_vars", "cap", "values")
 
-    def __init__(self, n_vars: int, cap: int, coeffs: dict[MultiIndex, float] | None = None):
+    def __init__(self, n_vars: int, cap: int, values: np.ndarray | None = None):
         self.n_vars = n_vars
         self.cap = cap
-        self.coeffs = coeffs if coeffs is not None else {}
+        size = len(compositions_upto(cap, n_vars))
+        self.values = np.zeros(size) if values is None else values
 
     @classmethod
     def geometric_power(cls, gamma: float, n_vars: int, cap: int) -> "TruncatedSeries":
         """(1 - t_1 - ... - t_n)^(-gamma): coefficient of t^k is (gamma)_{|k|}/k!."""
-        coeffs = {}
-        for k in compositions_upto(cap, n_vars):
-            c = shifted_factorial(gamma, sum(k))
-            for ki in k:
-                c /= math.factorial(ki)
-            coeffs[k] = c
-        return cls(n_vars, cap, coeffs)
+        poch = [shifted_factorial(gamma, s) for s in range(cap + 1)]
+        return cls(n_vars, cap, _inverse_factorials(n_vars, cap, poch))
 
     @classmethod
     def affine_power(
         cls, b_row: Sequence[float], exponent: int, n_vars: int, cap: int
     ) -> "TruncatedSeries":
-        """(1 - sum_j b_j t_j)^exponent for integer exponent >= 0 (finite binomial)."""
+        """(1 - sum_j b_j t_j)^exponent for integer exponent >= 0 (finite binomial).
+
+        The coefficient of t^k is C(exponent, |k|) (-1)^|k| |k|! * prod_j
+        b_j^k_j / k_j!, multiplied left to right; a zero is stored as +0.0."""
         if exponent < 0:
             raise ValueError("affine_power needs a nonnegative integer exponent")
-        coeffs: dict[MultiIndex, float] = {}
-        for k in compositions_upto(min(exponent, cap), n_vars):
-            s = sum(k)
-            c = math.comb(exponent, s) * (-1.0) ** s * math.factorial(s)
-            for bj, kj in zip(b_row, k):
-                c *= bj**kj / math.factorial(kj)
-            if c:
-                coeffs[k] = c
-        return cls(n_vars, cap, coeffs)
+        top = min(exponent, cap)
+        K = _composition_array(top, n_vars)
+        c = np.array(
+            [math.comb(exponent, s) * (-1.0) ** s * math.factorial(s) for s in range(top + 1)]
+        )[K.sum(axis=1)]
+        for j, bj in zip(range(n_vars), b_row):
+            c *= np.array([bj**k / math.factorial(k) for k in range(top + 1)])[K[:, j]]
+        out = cls(n_vars, cap)
+        out.values[:len(c)] = np.where(c == 0.0, 0.0, c)
+        return out
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """The product below the cap.  Each coefficient sums its products
+        va * vb from 0.0 in the pair table's order (np.bincount adds its
+        weights in input order); a product with a zero coefficient is a
+        signed zero, which leaves a finite sum as it is."""
         if (self.n_vars, self.cap) != (other.n_vars, other.cap):
             raise ValueError("series shape mismatch")
-        out: dict[MultiIndex, float] = {}
-        for ka, va in self.coeffs.items():
-            da = sum(ka)
-            for kb, vb in other.coeffs.items():
-                if da + sum(kb) > self.cap:
-                    continue
-                k = tuple(a + b for a, b in zip(ka, kb))
-                out[k] = out.get(k, 0.0) + va * vb
-        return TruncatedSeries(self.n_vars, self.cap, out)
+        ia, ib, k = _pair_table(self.n_vars, self.cap)
+        values = np.bincount(k, weights=self.values[ia] * other.values[ib], minlength=len(self.values))
+        return TruncatedSeries(self.n_vars, self.cap, values)
 
     def coefficient(self, m: MultiIndex) -> float:
         if sum(m) > self.cap:
             raise DegreeCapExceeded(f"degree {sum(m)} beyond cap {self.cap}")
-        return self.coeffs.get(tuple(m), 0.0)
+        return float(self.values[compositions_upto(self.cap, self.n_vars).index(tuple(m))])
 
 
 def genfun_series(
@@ -338,13 +409,9 @@ def genfun_all(
 ) -> dict[MultiIndex, float]:
     """All P_m(x) for |m| <= max_deg from a single expansion at x."""
     series = genfun_series(p, sd, x, max_deg)
-    out = {}
-    for m in compositions_upto(max_deg, p.n):
-        norm = shifted_factorial(p.beta, sum(m))
-        for mi in m:
-            norm /= math.factorial(mi)
-        out[m] = series.coefficient(m) / norm
-    return out
+    poch = [shifted_factorial(p.beta, s) for s in range(max_deg + 1)]
+    values = series.values / _inverse_factorials(p.n, max_deg, poch)
+    return dict(zip(compositions_upto(max_deg, p.n), values.tolist()))
 
 
 # ---------------------------------------------------------------------------

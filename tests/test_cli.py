@@ -223,6 +223,30 @@ class TestVerifyCommand:
         assert report["all_pass"] is False
         assert report["checks"]["chapman_kolmogorov"]["pass"] is False
 
+    @pytest.mark.parametrize(
+        "check,name,field",
+        [("eigen", "eigen_check", None), ("genfun_identity", "genfun_identity_richardson", "residual")],
+    )
+    def test_nan_residual_fails(self, tmp_path, monkeypatch, check, name, field):
+        # a NaN after the first residual: max() over the residuals would drop it
+        from mvmeixner import operators
+
+        real, calls = getattr(operators, name), []
+
+        def second_nan(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 2:
+                out = float("nan") if field is None else {**out, field: float("nan")}
+            return out
+
+        monkeypatch.setattr(operators, name, second_nan)
+        cfg = write_config(tmp_path, beta=1.0, c=[0.5])
+        assert main(["verify", cfg]) == EXIT_VERIFY_FAILED
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        assert report["checks"][check]["residual"] != report["checks"][check]["residual"]
+        assert report["checks"][check]["pass"] is False
+
 
 class TestSimulateCommand:
     def test_deterministic_output(self, tmp_path):

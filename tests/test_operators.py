@@ -1,13 +1,18 @@
 import math
+import random
+import unittest.mock
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import all_instances, instance
 from mvmeixner import operators
 from mvmeixner.errors import SingularGenfun, TruncationBoundary
 from mvmeixner.model import (
     ModelParams,
+    compositions_upto,
     enumerate_lattice,
     lattice_index,
     unit_shift,
@@ -27,8 +32,94 @@ from mvmeixner.operators import (
     genfun_value,
     interior_mask,
     operator_algebra_report,
-    poly_lattice_function,
 )
+from mvmeixner.polynomials import poly_values
+from mvmeixner.spectral import solve
+
+
+def poly_lattice_function(p, sd, m, S):
+    """P_m tabulated on {|x| <= S}."""
+    lat = enumerate_lattice(p.n, S)
+    vals = poly_values(p, sd, m, np.array(lat, dtype=int))
+    return LatticeFunction(S=S, values=dict(zip(lat, vals.tolist())))
+
+
+# ---------------------------------------------------------------------------
+# H-tilde as the point-by-point loop it was before it became array code over
+# a block of points, kept as the oracle: the array form must reproduce it bit
+# for bit.
+# ---------------------------------------------------------------------------
+
+def _oracle_htilde(p, x, f):
+    fx = f(x)
+    b = birth_rate(p, x)
+    out = 0.0
+    for j in range(p.n):
+        out += b * (fx - f(unit_shift(x, j, +1)))
+        if x[j]:
+            out += death_rate(p, x, j) * (fx - f(unit_shift(x, j, -1)))
+    return out
+
+
+def _oracle_eigen_check(p, sd, m, sample):
+    sample = list(sample)
+    if not sample:
+        return 0.0
+    f = poly_lattice_function(p, sd, m, max(sum(x) for x in sample) + 1)
+    energy = sd.energy(m)
+    worst = 0.0
+    for x in sample:
+        fx = f[x]
+        res = abs(_oracle_htilde(p, x, f.__getitem__) - energy * fx) / (1.0 + abs(fx))
+        worst = max(worst, res)
+    return worst
+
+
+@lru_cache(maxsize=None)
+def _sets(n):
+    """Two (p, sd) draws at dimension n, the rates at least 1.5-fold apart."""
+    rng = random.Random(70 + n)
+    out = []
+    for _ in range(2):
+        beta = math.exp(rng.uniform(math.log(0.3), math.log(5.0)))
+        parts = [rng.uniform(1.0, 2.0) * 3.0**i for i in range(n)]
+        mass = rng.uniform(0.2, 0.9)
+        p = ModelParams(beta, [mass * v / sum(parts) for v in parts])
+        out.append((p, solve(p)))
+    return out
+
+
+def _same_bits(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestHtildeOracle:
+    """eigen_check and apply_Htilde against the scalar loop, with == and
+    equal signs, over n = 1-4 with points on the boundary x_j = 0."""
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_eigen_check_matches_scalar_loop(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        p, sd = data.draw(st.sampled_from(_sets(n)), label="set")
+        m = data.draw(st.sampled_from(compositions_upto(3, n)), label="m")
+        lattice = enumerate_lattice(n, 6 if n < 4 else 4)
+        sample = data.draw(st.lists(st.sampled_from(lattice), min_size=1, max_size=30), label="sample")
+        assert _same_bits(eigen_check(p, sd, m, sample), _oracle_eigen_check(p, sd, m, sample))
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_apply_htilde_matches_scalar_loop(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        p, _ = data.draw(st.sampled_from(_sets(n)), label="set")
+        S = data.draw(st.integers(1, 5), label="S")
+        lattice = enumerate_lattice(n, S)
+        values = st.lists(
+            st.floats(-1e3, 1e3, allow_subnormal=False), min_size=len(lattice), max_size=len(lattice)
+        )
+        f = LatticeFunction(S, dict(zip(lattice, data.draw(values, label="f"))))
+        x = data.draw(st.sampled_from(enumerate_lattice(n, S - 1)), label="x")
+        assert _same_bits(apply_Htilde(p, f, x), _oracle_htilde(p, x, f.__getitem__))
 
 
 class TestApplyHtilde:
@@ -83,6 +174,21 @@ class TestEigenCheck:
     def test_n2_mixed_degree(self):
         p, sd = instance(2, 1.5)
         assert eigen_check(p, sd, (2, 1), enumerate_lattice(2, 10)) <= 1e-8
+
+    @pytest.mark.parametrize("at", [0, 7, 40])
+    def test_nan_value_reported(self, at):
+        # one NaN in the tabulated P_m, at x, at some x - e_j or at some
+        # x + e_j: max() would have dropped it
+        p, sd = instance(2, 1.5)
+        real = operators.poly_values
+
+        def poisoned(*args):
+            values = real(*args)
+            values[at] = math.nan
+            return values
+
+        with unittest.mock.patch.object(operators, "poly_values", poisoned):
+            assert math.isnan(eigen_check(p, sd, (1, 1), enumerate_lattice(2, 10)))
 
     # Sets from the library sweep (perfbench/sweep.py, seeds 14 and 22) with
     # one tiny rate: lambda_j - 1/c_i cancels near the pole 1/c_i, and the
@@ -286,7 +392,8 @@ class TestGenfunIdentity:
         series = genfun_series(p, sd, x, 10)
         t = (0.02, -0.015)
         approx = sum(
-            coef * t[0] ** k[0] * t[1] ** k[1] for k, coef in series.coeffs.items()
+            series.coefficient(k) * t[0] ** k[0] * t[1] ** k[1]
+            for k in compositions_upto(10, 2)
         )
         exact = genfun_value(p, sd, x, t)
         assert exact == pytest.approx(approx, rel=1e-12)

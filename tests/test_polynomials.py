@@ -220,7 +220,8 @@ class TestCoefficientLists:
         # x_i < r_i for most of m's rows: only the r <= x contribute
         p, sd = instance(3, 1.5)
         m = (3, 2, 0)
-        r, _ = _row_sum_coeffs(p.beta, _u_columns(sd), m)
+        rank, _ = _row_sum_coeffs(p.beta, _u_columns(sd), m)
+        r = np.array(compositions_upto(5, 3))[rank]
         for x in ((0, 0, 5), (1, 0, 0), (0, 2, 1), (4, 0, 1)):
             assert (r > np.array(x)).any(axis=1).any()
             assert meixner_eval(p, sd, m, x) == _oracle_meixner_eval(p, sd, m, x)
@@ -235,11 +236,23 @@ class TestCoefficientLists:
         assert _row_sum_coeffs.cache_info().misses - before == 1
 
     def test_lists_graded_lex_and_read_only(self):
+        # every r of degree <= 3 occurs, by its rank in compositions_upto
         p, sd = instance(2, 0.7)
-        r, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), (2, 1))
-        assert [tuple(v) for v in r.tolist()] == list(compositions_upto(3, 2))
-        assert r.shape[0] == coeff.shape[0]
-        assert not r.flags.writeable and not coeff.flags.writeable
+        rank, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), (2, 1))
+        assert rank.tolist() == list(range(len(compositions_upto(3, 2))))
+        assert rank.shape == coeff.shape
+        assert not rank.flags.writeable and not coeff.flags.writeable
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_point_reader_matches_oracle(self, data):
+        # x on the boundary x_j = 0 and inside, |x| below and above |m|
+        n = data.draw(st.integers(1, 4), label="n")
+        p, sd = data.draw(st.sampled_from(_table_sets(n)), label="set")
+        m = data.draw(st.sampled_from(compositions_upto(7 - n, n)), label="m")
+        x = data.draw(st.tuples(*[st.integers(0, 9)] * n), label="x")
+        got, want = meixner_eval(p, sd, m, x), _oracle_meixner_eval(p, sd, m, x)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 @lru_cache(maxsize=None)
@@ -381,7 +394,9 @@ class TestTruncatedSeries:
     def test_mul_respects_cap(self):
         a = TruncatedSeries.geometric_power(1.3, 2, 4)
         prod = a * a
-        assert all(sum(k) <= 4 for k in prod.coeffs)
+        assert prod.values.shape == (len(compositions_upto(4, 2)),)
+        with pytest.raises(DegreeCapExceeded):
+            prod.coefficient((5, 0))
 
     def test_geometric_times_inverse(self):
         # (1-|t|)^(-g) * (1-|t|)^(+1) has the coefficients of (1-|t|)^(-(g-1))
@@ -390,13 +405,112 @@ class TestTruncatedSeries:
         lin = TruncatedSeries.affine_power((1.0, 1.0), 1, 2, 5)
         prod = a * lin
         expect = TruncatedSeries.geometric_power(g - 1, 2, 5)
-        for k in expect.coeffs:
-            assert prod.coefficient(k) == pytest.approx(expect.coeffs[k], rel=1e-12, abs=1e-12)
+        for k in compositions_upto(5, 2):
+            assert prod.coefficient(k) == pytest.approx(expect.coefficient(k), rel=1e-12, abs=1e-12)
 
     def test_coefficient_beyond_cap(self):
         a = TruncatedSeries.geometric_power(1.0, 1, 3)
         with pytest.raises(DegreeCapExceeded):
             a.coefficient((4,))
+
+    def test_zero_coefficients_positive(self):
+        # b_j = 0 makes some coefficients of the finite binomial vanish
+        a = TruncatedSeries.affine_power((0.0, -0.5), 2, 2, 3)
+        assert not np.signbit(a.values).any()
+        assert a.coefficient((1, 0)) == 0.0 and a.coefficient((0, 1)) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The dict-based series route 2 used before its coefficients were stored as
+# one vector, kept as the oracle: the vector form must reproduce it bit for
+# bit.
+# ---------------------------------------------------------------------------
+
+class _OracleSeries:
+    """Exponent tuple -> coefficient, absent meaning zero."""
+
+    def __init__(self, n_vars, cap, coeffs):
+        self.n_vars, self.cap, self.coeffs = n_vars, cap, coeffs
+
+    @classmethod
+    def geometric_power(cls, gamma, n_vars, cap):
+        coeffs = {}
+        for k in compositions_upto(cap, n_vars):
+            c = shifted_factorial(gamma, sum(k))
+            for ki in k:
+                c /= math.factorial(ki)
+            coeffs[k] = c
+        return cls(n_vars, cap, coeffs)
+
+    @classmethod
+    def affine_power(cls, b_row, exponent, n_vars, cap):
+        coeffs = {}
+        for k in compositions_upto(min(exponent, cap), n_vars):
+            s = sum(k)
+            c = math.comb(exponent, s) * (-1.0) ** s * math.factorial(s)
+            for bj, kj in zip(b_row, k):
+                c *= bj**kj / math.factorial(kj)
+            if c:
+                coeffs[k] = c
+        return cls(n_vars, cap, coeffs)
+
+    def __mul__(self, other):
+        out = {}
+        for ka, va in self.coeffs.items():
+            da = sum(ka)
+            for kb, vb in other.coeffs.items():
+                if da + sum(kb) > self.cap:
+                    continue
+                k = tuple(a + b for a, b in zip(ka, kb))
+                out[k] = out.get(k, 0.0) + va * vb
+        return _OracleSeries(self.n_vars, self.cap, out)
+
+
+def _oracle_genfun_all(p, sd, x, max_deg):
+    series = _OracleSeries.geometric_power(p.beta + sum(x), p.n, max_deg)
+    for i in range(p.n):
+        if x[i]:
+            series = series * _OracleSeries.affine_power(sd.b[i], x[i], p.n, max_deg)
+    out = {}
+    for m in compositions_upto(max_deg, p.n):
+        norm = shifted_factorial(p.beta, sum(m))
+        for mi in m:
+            norm /= math.factorial(mi)
+        out[m] = series.coeffs.get(m, 0.0) / norm
+    return out
+
+
+class TestSeriesOracle:
+    """genfun_all and genfun_eval against the dict series, with == and equal
+    signs, at caps below and above |x| and x on the boundary x_j = 0."""
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_dict_series(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        p, sd = data.draw(st.sampled_from(_table_sets(n)), label="set")
+        x = data.draw(st.tuples(*[st.integers(0, 4)] * n), label="x")
+        cap = data.draw(st.integers(0, 7 - n), label="cap")
+        got, want = genfun_all(p, sd, x, cap), _oracle_genfun_all(p, sd, x, cap)
+        assert list(got) == list(want)
+        g, w = np.array(list(got.values())), np.array(list(want.values()))
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+        m = data.draw(st.sampled_from(list(want)), label="m")
+        assert genfun_eval(p, sd, m, x) == _oracle_genfun_all(p, sd, x, sum(m))[m]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_factors_at_high_degree(self, n):
+        # k with two factorials that are not powers of two, (3, 3) first:
+        # the divisions must run in the loop's order
+        comps = compositions_upto(9, n)
+        for gamma in (0.7, 2.9, 13.1):
+            got = TruncatedSeries.geometric_power(gamma, n, 9).values
+            want = _OracleSeries.geometric_power(gamma, n, 9).coeffs
+            assert got.tolist() == [want[k] for k in comps]
+        for b_row in ((0.3, -1.7, 2.2), (-0.9, 0.0, 1.3)):
+            got = TruncatedSeries.affine_power(b_row[:n], 7, n, 9).values
+            want = _OracleSeries.affine_power(b_row[:n], 7, n, 9).coeffs
+            assert got.tolist() == [want.get(k, 0.0) for k in comps]
 
 
 class TestSingleVariable:
