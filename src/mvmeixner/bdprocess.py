@@ -28,14 +28,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NegativeTime, ParameterError, TailTooLarge
+from .errors import NegativeTime, ParameterError, TailTooLarge, TruncationBoundary
 from .model import (
     ModelParams,
     MultiIndex,
     compositions,
     compositions_upto,
     enumerate_lattice,
-    lattice_index,
+    lattice_rank,
     shifted_factorial,
     tail_bound,
     weight,
@@ -330,7 +330,6 @@ class _SpectralKernel:
         self.w = weight_vector(p, self.table.x_list)
         self.wbar = wbar_vector(p, sd, self.table.m_list)
         self.energy = np.array([sd.energy(m) for m in self.table.m_list])
-        self.index = lattice_index(p.n, S)
 
     def grow(self, S: int) -> None:
         """Extend the lattice to {|x| <= S}.  P and W are evaluated point by
@@ -343,8 +342,14 @@ class _SpectralKernel:
         self.table = PolyTable(m_list, x_list + tuple(new), values)
         _table_values(p, self.sd, m_list, np.array(new, dtype=int), values[:, len(x_list):])
         self.w = np.concatenate((self.w, weight_vector(p, new)))
-        self.index = lattice_index(p.n, S)
         self.S = S
+
+    def position(self, x: MultiIndex) -> int:
+        """The column of x in the tables; TruncationBoundary unless x is a
+        point of {|x| <= S}."""
+        if len(x) != self.p.n or min(x) < 0 or sum(x) > self.S:
+            raise TruncationBoundary(f"x={tuple(x)} is not in the lattice |x| <= S={self.S}")
+        return int(lattice_rank(np.array([x]))[0])
 
     def decay(self, t: float) -> np.ndarray:
         """Wbar(m) e^{-E(m) t} over the degree list."""
@@ -357,12 +362,12 @@ class _SpectralKernel:
     def column(self, y: MultiIndex, t: float) -> np.ndarray:
         """T(., y; t): the distribution at time t from the start y."""
         P = self.table.values
-        return self.w * (P.T @ (self.decay(t) * P[:, self.index[tuple(y)]]))
+        return self.w * (P.T @ (self.decay(t) * P[:, self.position(y)]))
 
     def row(self, x: MultiIndex, t: float) -> np.ndarray:
         """T(x, .; t): the chance of x at time t from every start."""
         P = self.table.values
-        ix = self.index[tuple(x)]
+        ix = self.position(x)
         return self.w[ix] * ((self.decay(t) * P[:, ix]) @ P)
 
 
@@ -393,7 +398,7 @@ def chapman_kolmogorov_check(
     """|T(x,y; t+t') - sum_{|z| <= S} T(x,z; t) T(z,y; t')| with an estimate
     of what the z- and m-truncations can contribute."""
     kernel = _SpectralKernel(p, sd, M, S)
-    ix, iy = kernel.index[tuple(x)], kernel.index[tuple(y)]
+    ix, iy = kernel.position(x), kernel.position(y)
     first_leg = kernel.row(x, t)
     second_leg = kernel.column(y, t_prime)
     direct = kernel.row(x, t + t_prime)[iy]

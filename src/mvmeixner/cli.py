@@ -185,10 +185,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         return EXIT_DEGENERATE
     sd = spectral.solve(p)
     _write_json(_out_path(cfg, "spectrum.json"), sd.to_dict())
-    worst = max(
-        v for k, v in sd.residuals.items() if k != "cbar_mass"
-    )
-    if worst > CONSTRAINT_TOL:
+    worst = _worst([v for k, v in sd.residuals.items() if k != "cbar_mass"])
+    if not worst <= CONSTRAINT_TOL:
         print(f"constraint residual {worst:.3e} above {CONSTRAINT_TOL:.0e}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
@@ -227,7 +225,7 @@ def _verify_checks(cfg: RunConfig) -> dict[str, dict]:
 
     record(
         "constraints",
-        max(v for k, v in sd.residuals.items() if k != "cbar_mass"),
+        _worst([v for k, v in sd.residuals.items() if k != "cbar_mass"]),
         CONSTRAINT_TOL,
     )
 
@@ -239,7 +237,7 @@ def _verify_checks(cfg: RunConfig) -> dict[str, dict]:
     record("orthogonality_diag", orth.max_diag, cfg.eps_orth)
 
     moments = bdprocess.moment_check(p)
-    record("moments", max(moments["mean"], moments["second"]), MOMENT_TOL)
+    record("moments", _worst([moments["mean"], moments["second"]]), MOMENT_TOL)
 
     sample = [x for x in enumerate_lattice(p.n, 10)]
     eigen_worst = _worst([
@@ -255,7 +253,8 @@ def _verify_checks(cfg: RunConfig) -> dict[str, dict]:
     record("h_zero_mode", algebra["H_sqrtW"], H_ZERO_MODE_TOL)
     record(
         "h_spectrum_floor",
-        max(0.0, -algebra["min_interior_eigenvalue"]),
+        # 0.0 last: of two equal values np.max keeps the later, so -0.0 reads 0.0
+        _worst([-algebra["min_interior_eigenvalue"], 0.0]),
         SPECTRUM_FLOOR,
     )
 

@@ -3,7 +3,8 @@
 Multi-indices are plain tuples of nonnegative ints throughout the package;
 the canonical serialization order for anything indexed by the lattice is
 graded lexicographic (total degree first, then first entry descending),
-as produced by :func:`enumerate_lattice`.
+as produced by :func:`enumerate_lattice`, and :func:`lattice_rank` gives a
+point's position in that order in closed form.
 """
 
 from __future__ import annotations
@@ -145,14 +146,32 @@ def enumerate_lattice(n: int, S: int) -> list[MultiIndex]:
     return list(compositions_upto(S, n))
 
 
-def lattice_index(n: int, S: int) -> dict[MultiIndex, int]:
-    """Map from multi-index to its position in enumerate_lattice(n, S)."""
-    return {x: i for i, x in enumerate(enumerate_lattice(n, S))}
+@lru_cache(maxsize=64)
+def _rank_table(top: int, n: int) -> np.ndarray:
+    """T[k, s] = C(s-1+k, k), the number of points of N_0^k with sum < s, for
+    k <= n and s <= top; no entry exceeds the size of {|x| <= top} in N_0^n."""
+    out = np.array(
+        [[math.comb(s - 1 + k, k) if s else 0 for s in range(top + 1)] for k in range(n + 1)],
+        dtype=np.int64,
+    )
+    out.flags.writeable = False
+    return out
 
 
-def unit_shift(x: MultiIndex, j: int, step: int) -> MultiIndex:
-    """x + step * e_j. For step=-1 the caller must ensure x[j] >= 1."""
-    return x[:j] + (x[j] + step,) + x[j + 1:]
+def lattice_rank(X: np.ndarray) -> np.ndarray:
+    """Position of each row x of the int array X (shape (N, n)) in every
+    compositions_upto(S, n) with S >= |x|.  With s_i = x_i + ... + x_{n-1},
+    x comes after the T[n, s_0] points of smaller sum, then after the y of
+    its shell with y_0 > x_0, i.e. with y_1 + ... + y_{n-1} < s_1, and so on:
+    rank(x) = sum_i T[n-i, s_i] (T of _rank_table)."""
+    n = X.shape[1]
+    T = _rank_table(int(X.sum(axis=1).max(initial=0)), n)
+    s = X[:, n - 1].astype(np.int64)
+    rank = T[1][s]
+    for i in range(n - 2, -1, -1):
+        s += X[:, i]
+        rank += T[n - i][s]
+    return rank
 
 
 # ---------------------------------------------------------------------------

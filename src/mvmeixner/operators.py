@@ -10,9 +10,9 @@ x <-> x+e_j inside the truncation once, with the rates B(x) and D_j(x) over
 the lattice, and `build_H`, `build_A` and `build_LBD` are array expressions
 over that one list.  H-tilde is written once, in `_htilde`, as array code
 over a block of points that reads values through a callable on point
-arrays: `eigen_check` hands it P_m tabulated once and read by mixed-radix
-key (`_lattice_keys`, the index `_couplings` uses too), `apply_Htilde` a
-tabulated lattice function, the generating-function identity the closed
+arrays: `eigen_check` hands it P_m tabulated once and read by lattice
+position (`model.lattice_rank`, which `_couplings` uses too), `apply_Htilde`
+a tabulated lattice function, the generating-function identity the closed
 form G(x; t).  Each point's value is the one a scalar loop over j gives.
 
 scipy.sparse is imported inside the functions that build sparse matrices,
@@ -32,6 +32,7 @@ from .model import (
     ModelParams,
     MultiIndex,
     enumerate_lattice,
+    lattice_rank,
     weight_vector,
 )
 from .polynomials import poly_values
@@ -116,15 +117,14 @@ def eigen_check(
     NaN if any residual is NaN.
 
     P_m is tabulated once on {|x| <= max |x| + 1}, and x and x +- e_j are
-    found in the table by their mixed-radix keys."""
+    read from the table at their lattice ranks."""
     X = np.array(list(sample), dtype=np.int64).reshape(-1, p.n)
     if not len(X):
         return 0.0
     S = int(X.sum(axis=1).max()) + 1
     lattice = np.array(enumerate_lattice(p.n, S), dtype=np.int64)
     values = poly_values(p, sd, m, lattice)
-    radix, key, order = _lattice_keys(lattice, S)
-    read = lambda Y: values[order[np.searchsorted(key, Y @ radix, sorter=order)]]
+    read = lambda Y: values[lattice_rank(Y)]
     fx = read(X)
     res = np.abs(_htilde(p, X, read) - sd.energy(m) * fx) / (1.0 + np.abs(fx))
     return float(res.max())  # NaN if any residual is NaN
@@ -149,19 +149,6 @@ class _Couplings:
     out_rate: np.ndarray
 
 
-def _lattice_keys(X: np.ndarray, S: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mixed-radix keys of the points X (shape (N, n)) of {|x| <= S}:
-    (radix, key, order) with radix[i] = (S+1)^i, key = X @ radix and order
-    sorting key, so the row of a point y of X is
-    order[searchsorted(key, y @ radix, sorter=order)].  The keys are Python
-    ints where int64 would wrap."""
-    n = X.shape[1]
-    wide = (S + 1) ** n > np.iinfo(np.int64).max
-    radix = np.array([(S + 1) ** i for i in range(n)], dtype=object if wide else np.int64)
-    key = X @ radix
-    return radix, key, np.argsort(key, kind="stable")
-
-
 def _couplings(p: ModelParams, S: int) -> _Couplings:
     X = np.array(enumerate_lattice(p.n, S), dtype=np.int64).reshape(-1, p.n)
     total = X.sum(axis=1)
@@ -170,12 +157,11 @@ def _couplings(p: ModelParams, S: int) -> _Couplings:
     out_rate = np.array(
         [math.fsum(row) for row in (birth[:, None] + death).tolist()]
     )
-    # x+e_j is found by its mixed-radix key, key(x) + (S+1)^j
-    radix, key, order = _lattice_keys(X, S)
     inner = np.flatnonzero(total < S)
     a = np.repeat(inner, p.n)
     j = np.tile(np.arange(p.n), len(inner))
-    b = order[np.searchsorted(key, key[a] + radix[j], sorter=order)]
+    # row (a, j) of the shifted block is x+e_j at x = X[a]
+    b = lattice_rank((X[inner, None, :] + np.eye(p.n, dtype=X.dtype)).reshape(-1, p.n))
     return _Couplings(a, b, j, birth, death, out_rate)
 
 

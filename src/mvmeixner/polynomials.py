@@ -8,9 +8,9 @@ n-by-n nonnegative integer matrices, collapsed onto row-sum vectors r,
 A matrix contributes zero unless column j sums to at most m_j and row i to
 at most x_i, because a shifted factorial with a nonpositive-integer base
 vanishes.  coeff_r depends on (beta, u, m) only: `_row_sum_coeffs` builds
-one list of (rank of r, coeff_r) per m in numpy, summing each r bucket with
-fsum, and caches it.  A single point (`meixner_eval`) reads the r <= x of
-its m's list in Python floats and sums them with fsum; a table
+one list of (lattice_rank of r, coeff_r) per m in numpy, summing each r
+bucket with fsum, and caches it.  A single point (`meixner_eval`) reads the
+r <= x of its m's list in Python floats and sums them with fsum; a table
 (`_table_values`, behind `poly_table` and `poly_values`) is built one r at
 a time over every m whose list holds r, on blocks of points, and each of
 its values is the one a loop over its own m's list gives.
@@ -23,7 +23,8 @@ as a truncated multivariate power series in t; the coefficient of t^m is
 (beta)_{|m|} / m! times the polynomial.  A series is one vector over the
 exponents |k| <= cap, and a product sums the pairs of a cached table in a
 fixed order, so each coefficient is the one a loop over the pairs gives.
-The two routes share no code and serve as each other's oracle.
+The two routes share no evaluation code (only the bookkeeping of
+model.compositions_upto and model.lattice_rank) and are each other's oracle.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .model import (
     MultiIndex,
     compositions_upto,
     enumerate_lattice,
+    lattice_rank,
     shifted_factorial,
 )
 from .spectral import SpectralData
@@ -56,14 +58,6 @@ DEFAULT_SERIES_CAP = 8
 
 def _u_columns(sd: SpectralData) -> tuple[tuple[float, ...], ...]:
     return tuple(zip(*sd.u))
-
-
-def _graded_lex_key(rows: np.ndarray, deg: int) -> np.ndarray:
-    """A sort key for index rows with entries in [0, deg] and |r| <= deg that
-    orders them graded-lex: |r| first, then r_0, r_1, ... descending.
-    ravel_multi_index raises, where a hand-made key would wrap, past int64."""
-    n = rows.shape[1]
-    return np.ravel_multi_index((rows.sum(axis=1), *(deg - rows[:, :-1].T)), (deg + 1,) * n)
 
 
 @lru_cache(maxsize=64)
@@ -92,10 +86,9 @@ def _row_sum_coeffs(
 
         P_m(x) = sum_r coeff_r * prod_i (-x_i)_{r_i}.
 
-    Returns each r as its rank in compositions_upto(|m|, n), ascending (so
-    graded-lex), and coeff_r beside it.  compositions_upto(d, n) is a prefix
-    of compositions_upto(d', n) for d <= d', so a rank names the same r in
-    every list of that n.  Column j of a matrix is a composition of at most
+    Returns each r as its lattice_rank, its position in every
+    compositions_upto(d, n) with d >= |r|, ascending (so graded-lex), and
+    coeff_r beside it.  Column j of a matrix is a composition of at most
     m_j with factor (-m_j)_{|col|} * prod_i u_ij^{col_i} / col_i!; a
     matrix's product is formed column by column from 1.0, each r bucket is
     summed by fsum and divided by (beta)_{|r|}.  Nothing here depends on x.
@@ -112,8 +105,7 @@ def _row_sum_coeffs(
         nonzero = fac != 0.0
         rows = (rows[:, None, :] + cols[nonzero][None, :, :]).reshape(-1, n)
         prods = (prods[:, None] * fac[nonzero][None, :]).ravel()
-    every = _graded_lex_key(_composition_array(deg, n), deg)
-    rank = np.searchsorted(every, _graded_lex_key(rows, deg))
+    rank = lattice_rank(rows)
     order = np.argsort(rank, kind="stable")
     bounds = np.flatnonzero(np.diff(rank[order], prepend=-1, append=-1)).tolist()
     prods = prods[order].tolist()
@@ -287,16 +279,12 @@ def _pair_table(n_vars: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Every pair of exponents (ka, kb) of compositions_upto(cap, n_vars)
     with |ka| + |kb| <= cap, as index arrays (ia, ib, k) into that tuple with
     k the index of ka + kb; ka outer, kb inner, both graded-lex."""
-    comps = compositions_upto(cap, n_vars)
-    index = {k: i for i, k in enumerate(comps)}
-    ia, ib, k = [], [], []
-    for a, ka in enumerate(comps):
-        # the kb with |kb| <= cap - |ka| are a graded-lex prefix
-        for b, kb in enumerate(comps[:len(compositions_upto(cap - sum(ka), n_vars))]):
-            ia.append(a)
-            ib.append(b)
-            k.append(index[tuple(u + v for u, v in zip(ka, kb))])
-    return tuple(np.array(v, dtype=np.intp) for v in (ia, ib, k))
+    K = _composition_array(cap, n_vars)
+    # the kb with |kb| <= cap - |ka| are a graded-lex prefix of the exponents
+    counts = np.array([math.comb(cap - d + n_vars, n_vars) for d in range(cap + 1)])[K.sum(axis=1)]
+    ia = np.repeat(np.arange(len(K)), counts)
+    ib = np.arange(len(ia)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return ia, ib, lattice_rank(K[ia] + K[ib])
 
 
 def _inverse_factorials(n_vars: int, cap: int, scale: Sequence[float]) -> np.ndarray:
@@ -368,7 +356,9 @@ class TruncatedSeries:
     def coefficient(self, m: MultiIndex) -> float:
         if sum(m) > self.cap:
             raise DegreeCapExceeded(f"degree {sum(m)} beyond cap {self.cap}")
-        return float(self.values[compositions_upto(self.cap, self.n_vars).index(tuple(m))])
+        if len(m) != self.n_vars or min(m) < 0:
+            raise ValueError(f"exponent {tuple(m)} is not in N_0^{self.n_vars}")
+        return float(self.values[lattice_rank(np.array([m]))[0]])
 
 
 def genfun_series(

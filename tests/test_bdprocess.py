@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import all_instances, instance
+from conftest import all_instances, instance, lattice_index, unit_shift
 from mvmeixner import bdprocess
 from mvmeixner import polynomials
 from mvmeixner.bdprocess import (
@@ -22,19 +22,17 @@ from mvmeixner.bdprocess import (
     transition_prob,
     wbar,
 )
-from mvmeixner.errors import NegativeTime, ParameterError, TailTooLarge
+from mvmeixner.errors import NegativeTime, ParameterError, TailTooLarge, TruncationBoundary
 from mvmeixner.model import (
     ModelParams,
     compositions,
     compositions_upto,
     enumerate_lattice,
-    lattice_index,
     weight,
     weight_vector,
 )
 from mvmeixner.polynomials import meixner_eval, poly_table
 from mvmeixner.operators import birth_rate, death_rate
-from mvmeixner.model import unit_shift
 from mvmeixner.spectral import SpectralData, solve
 
 
@@ -285,6 +283,13 @@ class TestChapmanKolmogorov:
         p, sd = instance(1, 1.0)
         out = chapman_kolmogorov_check(p, sd, (2,), (1,), 0.3, 0.0, 40, 25)
         assert out["residual"] <= 1e-8
+
+    def test_point_outside_lattice(self):
+        p, sd = instance(2, 1.5)
+        # past the cap, then points of the wrong length or sign
+        for x, y in (((6, 0), (0, 1)), ((0, 1), (3, 3)), ((1, 0, 0), (0, 1)), ((-1, 2), (0, 1))):
+            with pytest.raises(TruncationBoundary, match="S=5"):
+                chapman_kolmogorov_check(p, sd, x, y, 0.3, 0.3, 5, 4)
 
 
 class TestKernelViews:

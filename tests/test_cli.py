@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import mvmeixner
+from mvmeixner import bdprocess, operators, spectral
 from mvmeixner.cli import (
     EXIT_DEGENERATE,
     EXIT_INVALID,
@@ -143,6 +145,18 @@ class TestSpectrumCommand:
         cfg = write_config(tmp_path, c=[0.6, 0.6])
         assert main(["spectrum", cfg]) == EXIT_INVALID
 
+    def test_nan_residual_fails(self, tmp_path, monkeypatch):
+        # a NaN after the first residual: max() over the residuals would drop it
+        real = spectral.solve
+
+        def nan_residual(*args, **kwargs):
+            sd = real(*args, **kwargs)
+            last = [k for k in sd.residuals if k != "cbar_mass"][-1]
+            return replace(sd, residuals={**sd.residuals, last: float("nan")})
+
+        monkeypatch.setattr(spectral, "solve", nan_residual)
+        assert main(["spectrum", write_config(tmp_path)]) == EXIT_VERIFY_FAILED
+
     def test_flag_override(self, tmp_path):
         cfg = write_config(tmp_path)
         out2 = tmp_path / "other"
@@ -229,8 +243,6 @@ class TestVerifyCommand:
     )
     def test_nan_residual_fails(self, tmp_path, monkeypatch, check, name, field):
         # a NaN after the first residual: max() over the residuals would drop it
-        from mvmeixner import operators
-
         real, calls = getattr(operators, name), []
 
         def second_nan(*args, **kwargs):
@@ -241,6 +253,24 @@ class TestVerifyCommand:
             return out
 
         monkeypatch.setattr(operators, name, second_nan)
+        cfg = write_config(tmp_path, beta=1.0, c=[0.5])
+        assert main(["verify", cfg]) == EXIT_VERIFY_FAILED
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        assert report["checks"][check]["residual"] != report["checks"][check]["residual"]
+        assert report["checks"][check]["pass"] is False
+
+
+    @pytest.mark.parametrize(
+        "check,module,name,field",
+        [
+            ("moments", bdprocess, "moment_check", "second"),
+            ("h_spectrum_floor", operators, "operator_algebra_report", "min_interior_eigenvalue"),
+        ],
+    )
+    def test_nan_field_fails(self, tmp_path, monkeypatch, check, module, name, field):
+        # max(0.0, nan) is 0.0, so a max() over the fields would pass the NaN
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: {**real(*a, **k), field: float("nan")})
         cfg = write_config(tmp_path, beta=1.0, c=[0.5])
         assert main(["verify", cfg]) == EXIT_VERIFY_FAILED
         report = json.loads((tmp_path / "out" / "verify_report.json").read_text())

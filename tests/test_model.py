@@ -1,17 +1,21 @@
 import math
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import lattice_index, unit_shift
 from mvmeixner.errors import CMassNotBelowOne, NonPositiveBeta, NonPositiveC
 from mvmeixner.model import (
     ModelParams,
     compositions,
     enumerate_lattice,
+    lattice_rank,
     log_weight,
     shifted_factorial,
     tail_bound,
-    unit_shift,
     validate_params,
     weight,
     weight_vector,
@@ -88,6 +92,47 @@ class TestLattice:
             for j in range(3):
                 if x[j]:
                     assert unit_shift(x, j, -1) in seen
+
+
+_positions = lru_cache(maxsize=None)(lattice_index)
+
+
+class TestLatticeRank:
+    """lattice_rank against each point's position in enumerate_lattice."""
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        shell=st.integers(0, 8),
+        pick=st.integers(0, 10**6),
+        faces=st.lists(st.booleans(), min_size=6, max_size=6),
+        extra=st.integers(0, 3),
+    )
+    def test_matches_enumeration_at_every_cap(self, n, shell, pick, faces, extra):
+        points = compositions(shell, n)
+        x = tuple(0 if face else v for v, face in zip(points[pick % len(points)], faces))
+        rank = int(lattice_rank(np.array([x]))[0])
+        # the rank does not depend on the cap, as long as it holds x
+        for S in (sum(x), sum(x) + extra, shell + extra):
+            assert rank == _positions(n, S)[x]
+
+    @pytest.mark.parametrize("n,S", [(1, 12), (2, 12), (3, 12), (4, 8), (5, 6), (6, 5)])
+    def test_whole_lattice_in_order(self, n, S):
+        X = np.array(enumerate_lattice(n, S)).reshape(-1, n)
+        assert np.array_equal(lattice_rank(X), np.arange(len(X)))
+        assert np.array_equal(lattice_rank(X[::-1]), np.arange(len(X))[::-1])
+
+    @pytest.mark.parametrize("n,S", [(64, 1), (10, 10)])
+    def test_large_lattice(self, n, S):
+        # (S+1)^n is 2^64 at (64, 1), past int64, and (10, 10) holds 184,756
+        # points; every entry of the binomial table is at most the lattice size
+        lattice = enumerate_lattice(n, S)
+        X = np.fromiter(chain.from_iterable(lattice), dtype=np.int64).reshape(-1, n)
+        assert len(X) == math.comb(S + n, n)
+        assert np.array_equal(lattice_rank(X), np.arange(len(X)))
+
+    def test_empty(self):
+        assert len(lattice_rank(np.zeros((0, 3), dtype=int))) == 0
 
 
 class TestWeight:

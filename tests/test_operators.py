@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_instances, instance
+from conftest import all_instances, instance, lattice_index, unit_shift
 from mvmeixner import operators
 from mvmeixner.errors import SingularGenfun, TruncationBoundary
 from mvmeixner.model import (
     ModelParams,
     compositions_upto,
     enumerate_lattice,
-    lattice_index,
-    unit_shift,
     weight_vector,
 )
 from mvmeixner.operators import (

@@ -413,6 +413,17 @@ class TestTruncatedSeries:
         with pytest.raises(DegreeCapExceeded):
             a.coefficient((4,))
 
+    def test_coefficient_not_an_exponent(self):
+        a = TruncatedSeries.geometric_power(1.0, 2, 3)
+        for k in ((1,), (1, 0, 0), (-1, 2)):
+            with pytest.raises(ValueError):
+                a.coefficient(k)
+
+    def test_coefficient_reads_its_position(self):
+        a = TruncatedSeries(3, 4, np.arange(float(len(compositions_upto(4, 3)))))
+        for i, k in enumerate(compositions_upto(4, 3)):
+            assert a.coefficient(k) == i
+
     def test_zero_coefficients_positive(self):
         # b_j = 0 makes some coefficients of the finite binomial vanish
         a = TruncatedSeries.affine_power((0.0, -0.5), 2, 2, 3)
