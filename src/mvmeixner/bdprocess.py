@@ -4,7 +4,11 @@ probabilities, Chapman-Kolmogorov, and an exact-jump stochastic simulator.
 The spectral route expresses the transition probability through the
 orthonormal vectors phi_m = sqrt(W) P_m sqrt(Wbar); the simulator runs the
 continuous-time chain itself.  The two never share code, so their agreement
-cross-validates the whole construction.
+cross-validates the whole construction.  Every W- and Wbar-weighted sum over
+the P table is read from one `_SpectralKernel`, built on the points a caller
+needs: x and y for `transition_prob`, the lattice |x| <= S for the
+orthogonality Gram, `transition_matrix`, Chapman-Kolmogorov and the
+simulator's spectral column.
 
 The simulator is Gillespie's direct method run in lock-step over batches of
 trajectories: each numpy step advances every live trajectory by one event and
@@ -24,7 +28,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from .model import (
     weight,
     weight_vector,
 )
-from .polynomials import PolyTable, _table_values, meixner_eval, poly_table
+from .polynomials import _table_values, meixner_eval
 from .spectral import SpectralData
 
 # Simulator limits and comparison hygiene.
@@ -72,12 +75,6 @@ def wbar(p: ModelParams, sd: SpectralData, m: MultiIndex) -> float:
     for mj, cj in zip(m, sd.cbar):
         out *= cj**mj / math.factorial(mj)
     return out
-
-
-def wbar_vector(
-    p: ModelParams, sd: SpectralData, m_list: Sequence[MultiIndex]
-) -> np.ndarray:
-    return np.array([wbar(p, sd, m) for m in m_list])
 
 
 def phi_hat(
@@ -125,22 +122,20 @@ def orthogonality_check(
     Raises TailTooLarge when tail_bound(S) * max|P|^2 exceeds tail_eps: the
     omitted lattice mass could then swamp the requested resolution.
     """
-    table = poly_table(p, sd, max_deg, S)
-    w = weight_vector(p, table.x_list)
-    max_p = float(np.abs(table.values).max())
+    kernel = _SpectralKernel(p, sd, max_deg, np.array(enumerate_lattice(p.n, S), dtype=int))
+    max_p = float(np.abs(kernel.P).max())
     tail_term = tail_bound(p, S) * max_p**2
     if tail_term > tail_eps:
         raise TailTooLarge(
             f"tail_bound(S={S}) * max|P|^2 = {tail_term:.3e} > {tail_eps:.1e}; "
             "increase S"
         )
-    gram = (table.values * w[None, :]) @ table.values.T
-    wb = wbar_vector(p, sd, table.m_list)
+    gram = kernel.gram()
     residuals = np.abs(gram)
-    diag = np.abs(np.diag(gram) * wb - 1.0)
+    diag = np.abs(np.diag(gram) * kernel.wbar - 1.0)
     np.fill_diagonal(residuals, diag)
     return OrthogonalityReport(
-        m_list=table.m_list, gram=gram, residuals=residuals, S=S, tail_term=tail_term
+        m_list=kernel.m_list, gram=gram, residuals=residuals, S=S, tail_term=tail_term
     )
 
 
@@ -282,26 +277,21 @@ def transition_prob(
 
     With M=None the cutoff is chosen adaptively via choose_spectral_cutoff
     (t must then be positive, and short t may raise TailTooLarge).
+    TruncationBoundary unless x and y are points of N_0^n.
     """
     if t < 0:
         raise NegativeTime(f"t must be >= 0, got {t}")
+    for z in (x, y):
+        if len(z) != p.n or min(z) < 0:
+            raise TruncationBoundary(f"{tuple(z)} is not a point of N_0^{p.n}")
     if M is None:
         M = choose_spectral_cutoff(p, sd, x, y, t)
-    wx = weight(p, x)
-    wy = weight(p, y)
-    phi_sum = 0.0
-    reduced = 0.0
-    for m in compositions_upto(M, p.n):
-        decay = math.exp(-sd.energy(m) * t)
-        wb = wbar(p, sd, m)
-        px = meixner_eval(p, sd, m, x)
-        py = meixner_eval(p, sd, m, y)
-        phi_sum += decay * (math.sqrt(wx) * px * math.sqrt(wb)) * (
-            math.sqrt(wy) * py * math.sqrt(wb)
-        )
-        reduced += wb * decay * px * py
-    value = math.sqrt(wx) / math.sqrt(wy) * phi_sum
-    reduced *= wx
+    kernel = _SpectralKernel(p, sd, M, np.array([x, y], dtype=int))
+    reduced = float(kernel.row(0, t)[1])
+    sqrt_w = np.sqrt(kernel.w)
+    phi = np.sqrt(kernel.wbar)[:, None] * kernel.P * sqrt_w
+    phi_sum = (np.exp(-kernel.energy * t) * phi[:, 0]) @ phi[:, 1]
+    value = float(sqrt_w[0] / sqrt_w[1] * phi_sum)
     gap = abs(value - reduced)
     return TransitionReport(
         x=tuple(x),
@@ -315,60 +305,63 @@ def transition_prob(
     )
 
 
+def _position(x: MultiIndex, n: int, S: int) -> int:
+    """The position of x in {|x| <= S}, graded-lex; TruncationBoundary unless
+    x is a point of it."""
+    if len(x) != n or min(x) < 0 or sum(x) > S:
+        raise TruncationBoundary(f"x={tuple(x)} is not in the lattice |x| <= S={S}")
+    return int(lattice_rank(np.array([x]))[0])
+
+
 class _SpectralKernel:
     """T(x, y; t) = W(x) sum_{|m| <= M} Wbar(m) e^{-E(m) t} P_m(x) P_m(y)
-    on {|x|, |y| <= S}, with the P table, W, Wbar and E computed once.
+    on the points of the int array X (shape (N, n)), with the P table, W,
+    Wbar and E computed once; x and y are given as positions into X.
 
-    A row or a column costs O(#m * N) for N lattice points; only `matrix`
-    builds the dense N x N kernel.  `grow` extends S by evaluating only the
-    new shells.
+    A row or a column costs O(#m * N); only `matrix` builds the dense
+    N x N kernel.  `extend` appends points, evaluating only those.
     """
 
-    def __init__(self, p: ModelParams, sd: SpectralData, M: int, S: int):
-        self.p, self.sd, self.S = p, sd, S
-        self.table = poly_table(p, sd, M, S)
-        self.w = weight_vector(p, self.table.x_list)
-        self.wbar = wbar_vector(p, sd, self.table.m_list)
-        self.energy = np.array([sd.energy(m) for m in self.table.m_list])
+    def __init__(self, p: ModelParams, sd: SpectralData, M: int, X: np.ndarray):
+        self.p, self.sd = p, sd
+        self.m_list = compositions_upto(M, p.n)
+        self.P = _table_values(p, sd, self.m_list, X)
+        self.w = weight_vector(p, X)
+        self.wbar = np.array([wbar(p, sd, m) for m in self.m_list])
+        self.energy = np.array([sd.energy(m) for m in self.m_list])
 
-    def grow(self, S: int) -> None:
-        """Extend the lattice to {|x| <= S}.  P and W are evaluated point by
-        point, so the grown arrays equal those built at S from scratch."""
-        p, m_list, x_list = self.p, self.table.m_list, self.table.x_list
-        new = [x for s in range(self.S + 1, S + 1) for x in compositions(s, p.n)]
-        values = np.empty((len(m_list), len(x_list) + len(new)))
-        values[:, :len(x_list)] = self.table.values
-        # the old table is dropped before the new shells are evaluated
-        self.table = PolyTable(m_list, x_list + tuple(new), values)
-        _table_values(p, self.sd, m_list, np.array(new, dtype=int), values[:, len(x_list):])
-        self.w = np.concatenate((self.w, weight_vector(p, new)))
-        self.S = S
-
-    def position(self, x: MultiIndex) -> int:
-        """The column of x in the tables; TruncationBoundary unless x is a
-        point of {|x| <= S}."""
-        if len(x) != self.p.n or min(x) < 0 or sum(x) > self.S:
-            raise TruncationBoundary(f"x={tuple(x)} is not in the lattice |x| <= S={self.S}")
-        return int(lattice_rank(np.array([x]))[0])
+    def extend(self, X_new: np.ndarray) -> None:
+        """Append the points X_new.  P and W are evaluated point by point,
+        so the grown arrays equal those built on all the points at once."""
+        N = self.P.shape[1]
+        P = np.empty((len(self.m_list), N + len(X_new)))
+        P[:, :N] = self.P
+        # the old table is dropped before the new points are evaluated
+        self.P = P
+        _table_values(self.p, self.sd, self.m_list, X_new, P[:, N:])
+        self.w = np.concatenate((self.w, weight_vector(self.p, X_new)))
 
     def decay(self, t: float) -> np.ndarray:
         """Wbar(m) e^{-E(m) t} over the degree list."""
         return self.wbar * np.exp(-self.energy * t)
 
+    def gram(self) -> np.ndarray:
+        """sum_x W(x) P_m(x) P_m'(x) over the points, for every m, m'."""
+        return (self.P * self.w) @ self.P.T
+
     def matrix(self, t: float) -> np.ndarray:
-        P = self.table.values
+        P = self.P
         return self.w[:, None] * (P.T @ (self.decay(t)[:, None] * P))
 
-    def column(self, y: MultiIndex, t: float) -> np.ndarray:
-        """T(., y; t): the distribution at time t from the start y."""
-        P = self.table.values
-        return self.w * (P.T @ (self.decay(t) * P[:, self.position(y)]))
+    def column(self, j: int, t: float) -> np.ndarray:
+        """T(., X[j]; t): the distribution at time t from the start X[j]."""
+        P = self.P
+        return self.w * (P.T @ (self.decay(t) * P[:, j]))
 
-    def row(self, x: MultiIndex, t: float) -> np.ndarray:
-        """T(x, .; t): the chance of x at time t from every start."""
-        P = self.table.values
-        ix = self.position(x)
-        return self.w[ix] * ((self.decay(t) * P[:, ix]) @ P)
+    def row(self, i: int, t: float) -> np.ndarray:
+        """T(X[i], .; t): the chance of X[i] at time t from every start."""
+        P = self.P
+        return self.w[i] * ((self.decay(t) * P[:, i]) @ P)
 
 
 def transition_matrix(
@@ -382,7 +375,7 @@ def transition_matrix(
     """
     if t < 0:
         raise NegativeTime(f"t must be >= 0, got {t}")
-    return _SpectralKernel(p, sd, M, S).matrix(t)
+    return _SpectralKernel(p, sd, M, np.array(enumerate_lattice(p.n, S), dtype=int)).matrix(t)
 
 
 def chapman_kolmogorov_check(
@@ -397,11 +390,11 @@ def chapman_kolmogorov_check(
 ) -> dict[str, float]:
     """|T(x,y; t+t') - sum_{|z| <= S} T(x,z; t) T(z,y; t')| with an estimate
     of what the z- and m-truncations can contribute."""
-    kernel = _SpectralKernel(p, sd, M, S)
-    ix, iy = kernel.position(x), kernel.position(y)
-    first_leg = kernel.row(x, t)
-    second_leg = kernel.column(y, t_prime)
-    direct = kernel.row(x, t + t_prime)[iy]
+    ix, iy = _position(x, p.n, S), _position(y, p.n, S)
+    kernel = _SpectralKernel(p, sd, M, np.array(enumerate_lattice(p.n, S), dtype=int))
+    first_leg = kernel.row(ix, t)
+    second_leg = kernel.column(iy, t_prime)
+    direct = kernel.row(ix, t + t_prime)[iy]
     composed = first_leg @ second_leg
     residual = abs(direct - composed)
 
@@ -411,7 +404,7 @@ def chapman_kolmogorov_check(
     z_escape = escaped * float(np.abs(first_leg).max())
     # m_list is graded-lex, so the shell |m| = M is its tail
     top = slice(-len(compositions(M, p.n)), None)
-    P = kernel.table.values
+    P = kernel.P
     shell = kernel.w[ix] * float(
         np.abs(kernel.decay(t + t_prime)[top] * P[top, ix] * P[top, iy]).sum()
     )
@@ -688,9 +681,12 @@ def _spectral_column(
     blind to the spectral truncation at M.  Each step evaluates only the new
     shells, and the column is the one a kernel built at the final S gives.
     """
-    kernel = _SpectralKernel(p, sd, M, S)
+    j = _position(x0, p.n, S)
+    kernel = _SpectralKernel(p, sd, M, np.array(enumerate_lattice(p.n, S), dtype=int))
     while True:
-        col = kernel.column(x0, t)
-        if abs(1.0 - float(col.sum())) <= _COLUMN_MASS_TOL or kernel.S >= 120:
-            return col, enumerate_lattice(p.n, kernel.S)
-        kernel.grow(kernel.S + 10)
+        col = kernel.column(j, t)
+        if abs(1.0 - float(col.sum())) <= _COLUMN_MASS_TOL or S >= 120:
+            return col, enumerate_lattice(p.n, S)
+        new = [x for s in range(S + 1, S + 11) for x in compositions(s, p.n)]
+        kernel.extend(np.array(new, dtype=int))
+        S += 10

@@ -163,7 +163,10 @@ def lattice_rank(X: np.ndarray) -> np.ndarray:
     compositions_upto(S, n) with S >= |x|.  With s_i = x_i + ... + x_{n-1},
     x comes after the T[n, s_0] points of smaller sum, then after the y of
     its shell with y_0 > x_0, i.e. with y_1 + ... + y_{n-1} < s_1, and so on:
-    rank(x) = sum_i T[n-i, s_i] (T of _rank_table)."""
+    rank(x) = sum_i T[n-i, s_i] (T of _rank_table).  ValueError if an
+    entry of X is negative."""
+    if X.min(initial=0) < 0:
+        raise ValueError("lattice_rank needs points of N_0^n, got a negative entry")
     n = X.shape[1]
     T = _rank_table(int(X.sum(axis=1).max(initial=0)), n)
     s = X[:, n - 1].astype(np.int64)

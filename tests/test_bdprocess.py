@@ -117,12 +117,17 @@ class TestOrthogonality:
             raise TailTooLarge("no S")
 
         expected = reference_S()
-        calls = []
-        monkeypatch.setattr(
-            bdprocess, "poly_table", lambda *a: calls.append(a) or poly_table(*a)
-        )
+        evaluated = []
+        real = bdprocess._table_values
+
+        def counting(p_, sd_, m_list, X, *args):
+            evaluated.extend(map(tuple, X.tolist()))
+            return real(p_, sd_, m_list, X, *args)
+
+        monkeypatch.setattr(bdprocess, "_table_values", counting)
         assert choose_orthogonality_S(p, sd, 3, tail_eps, start=30) == expected
-        assert calls == []
+        # each point of |x| <= S is evaluated once, and no table is rebuilt
+        assert sorted(evaluated) == sorted(enumerate_lattice(p.n, expected))
 
     def test_corrupted_u_detected(self):
         # a 1e-3 perturbation of one u entry must break orthogonality visibly
@@ -266,6 +271,31 @@ class TestTransition:
         with pytest.raises(TailTooLarge):
             transition_prob(p, sd, (1, 0), (0, 1), 0.05)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reduced_form_is_a_kernel_entry(self, n):
+        # the entry of the dense kernel, and the sum over m at the two points
+        # by pointwise route 1
+        p, sd = instance(n, 1.5)
+        S, M, t = 4, 10, 0.4
+        lat = enumerate_lattice(n, S)
+        T = transition_matrix(p, sd, t, M, S)
+        for x, y in ((lat[1], lat[0]), (lat[-1], lat[2]), (lat[3], lat[3])):
+            rep = transition_prob(p, sd, x, y, t, M)
+            assert abs(rep.reduced_value - T[lat.index(x), lat.index(y)]) <= 1e-14
+            pointwise = weight(p, x) * math.fsum(
+                wbar(p, sd, m) * math.exp(-sd.energy(m) * t)
+                * meixner_eval(p, sd, m, x) * meixner_eval(p, sd, m, y)
+                for m in compositions_upto(M, n)
+            )
+            assert abs(rep.reduced_value - pointwise) <= 1e-14
+
+    def test_point_outside_the_orthant(self):
+        p, sd = instance(2, 1.5)
+        for x, y in (((-1, 0), (0, 1)), ((1, 0), (2, -3)), ((1, 0, 0), (0, 1)), ((1,), (0, 1))):
+            for M in (5, None):
+                with pytest.raises(TruncationBoundary, match="N_0"):
+                    transition_prob(p, sd, x, y, 0.5, M)
+
 
 class TestChapmanKolmogorov:
     def test_n1_desk_instance(self):
@@ -341,20 +371,20 @@ class TestKernelViews:
         monkeypatch.setattr(bdprocess, "_table_values", counting)
         col, lat = _spectral_column(p, sd, x0, t, M, S)
         monkeypatch.undo()
-        S_final = sum(lat[-1])
-        assert S_final > S + 10
-        assert np.array_equal(col, _SpectralKernel(p, sd, M, S_final).column(x0, t))
+        assert sum(lat[-1]) > S + 10
+        kernel = _SpectralKernel(p, sd, M, np.array(lat, dtype=int))
+        assert np.array_equal(col, kernel.column(lat.index(x0), t))
         assert sorted(evaluated) == sorted(lat)
 
     def test_chapman_kolmogorov_builds_one_table(self, monkeypatch):
         calls = []
-        real = bdprocess.poly_table
+        real = bdprocess._table_values
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(bdprocess, "poly_table", counting)
+        monkeypatch.setattr(bdprocess, "_table_values", counting)
         p, sd = instance(2, 1.5)
         chapman_kolmogorov_check(p, sd, (1, 0), (0, 1), 0.3, 0.3, 25, 12)
         assert len(calls) == 1

@@ -134,6 +134,12 @@ class TestLatticeRank:
     def test_empty(self):
         assert len(lattice_rank(np.zeros((0, 3), dtype=int))) == 0
 
+    def test_negative_entry_rejected(self):
+        # a negative entry would index the rank table from its end
+        for X in ([[3, -1]], [[-1, 3]], [[0, 0], [2, -1]]):
+            with pytest.raises(ValueError, match="negative"):
+                lattice_rank(np.array(X))
+
 
 class TestWeight:
     def test_tail_examples(self):
