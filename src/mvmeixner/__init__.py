@@ -31,8 +31,6 @@ from .model import (
 )
 from .polynomials import (
     TruncatedSeries,
-    genfun_eval,
-    meixner_1d,
     meixner_eval,
     poly_table,
 )
@@ -45,19 +43,15 @@ from .spectral import (
     solve_spectrum,
 )
 from .operators import (
-    LatticeFunction,
-    apply_Htilde,
     build_H,
     build_LBD,
     eigen_check,
-    factorization_check,
 )
 from .bdprocess import (
     chapman_kolmogorov_check,
     compare_sim_spectral,
     moment_check,
     orthogonality_check,
-    phi_hat,
     simulate,
     transition_prob,
 )
@@ -70,7 +64,6 @@ __all__ = [
     "ConstraintViolation",
     "DegenerateParameters",
     "DegreeCapExceeded",
-    "LatticeFunction",
     "MeixnerError",
     "ModelParams",
     "NegativeTime",
@@ -82,7 +75,6 @@ __all__ = [
     "TailTooLarge",
     "TruncatedSeries",
     "TruncationBoundary",
-    "apply_Htilde",
     "build_H",
     "build_LBD",
     "build_u",
@@ -92,13 +84,9 @@ __all__ = [
     "degenerate_spectrum",
     "eigen_check",
     "enumerate_lattice",
-    "factorization_check",
-    "genfun_eval",
-    "meixner_1d",
     "meixner_eval",
     "moment_check",
     "orthogonality_check",
-    "phi_hat",
     "poly_table",
     "shifted_factorial",
     "simulate",

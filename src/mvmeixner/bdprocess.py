@@ -44,7 +44,7 @@ from .model import (
     weight,
     weight_vector,
 )
-from .polynomials import _table_values, meixner_eval
+from .polynomials import _table_values
 from .spectral import SpectralData
 
 # Simulator limits and comparison hygiene.
@@ -75,15 +75,6 @@ def wbar(p: ModelParams, sd: SpectralData, m: MultiIndex) -> float:
     for mj, cj in zip(m, sd.cbar):
         out *= cj**mj / math.factorial(mj)
     return out
-
-
-def phi_hat(
-    p: ModelParams, sd: SpectralData, m: MultiIndex, x: MultiIndex
-) -> float:
-    """Orthonormal vector entry sqrt(W(x)) P_m(x) sqrt(Wbar(m))."""
-    return math.sqrt(weight(p, x)) * meixner_eval(p, sd, m, x) * math.sqrt(
-        wbar(p, sd, m)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,15 @@ only; the infinite lattice has no boundary and we refuse to invent one.
 
 The process moves x only to x +- e_j.  `_couplings` lists every such pair
 x <-> x+e_j inside the truncation once, with the rates B(x) and D_j(x) over
-the lattice, and `build_H`, `build_A` and `build_LBD` are array expressions
-over that one list.  H-tilde is written once, in `_htilde`, as array code
-over a block of points that reads values through a callable on point
-arrays: `eigen_check` hands it P_m tabulated once and read by lattice
-position (`model.lattice_rank`, which `_couplings` uses too), `apply_Htilde`
-a tabulated lattice function, the generating-function identity the closed
-form G(x; t).  Each point's value is the one a scalar loop over j gives.
-
-scipy.sparse is imported inside the functions that build sparse matrices,
-so that importing the package does not load scipy.
+the lattice.  `build_H`, `build_A` and `build_LBD` write that one list into
+dense N x N numpy arrays, N = C(S+n, n), so each holds N^2 floats.  The
+package builds only H, in `operator_algebra_report` at S <= 10 (N = 3003 at
+n = 5), and reads the factors A_j off the coupling list.  H-tilde is
+written once, in `_htilde`, as array code over a block of points that reads
+values through a callable on point arrays: `eigen_check` hands it P_m
+tabulated once and read by lattice position (`model.lattice_rank`, which
+`_couplings` uses too), the generating-function identity the closed form
+G(x; t).  Each point's value is the one a scalar loop over j gives.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import SingularGenfun, TruncationBoundary
+from .errors import SingularGenfun
 from .model import (
     ModelParams,
     MultiIndex,
@@ -49,23 +48,6 @@ def birth_rate(p: ModelParams, x: MultiIndex) -> float:
 def death_rate(p: ModelParams, x: MultiIndex, j: int) -> float:
     """D_j(x) = x_j / c_j; vanishes at x_j = 0, which is the boundary condition."""
     return x[j] / p.c[j]
-
-
-@dataclass
-class LatticeFunction:
-    """Function values on {|x| <= S}, the domain shifts read from."""
-
-    S: int
-    values: dict[MultiIndex, float]
-
-    @classmethod
-    def from_callable(
-        cls, n: int, S: int, fn: Callable[[MultiIndex], float]
-    ) -> "LatticeFunction":
-        return cls(S=S, values={x: fn(x) for x in enumerate_lattice(n, S)})
-
-    def __getitem__(self, x: MultiIndex) -> float:
-        return self.values[x]
 
 
 def _htilde(
@@ -95,16 +77,6 @@ def _htilde_at(p: ModelParams, x: MultiIndex, g: Callable[[MultiIndex], float]) 
     """(H-tilde g)(x) at one point, for g read one point at a time."""
     read = lambda Y: np.array([g(y) for y in map(tuple, Y.tolist())])
     return float(_htilde(p, np.array([x], dtype=np.int64), read)[0])
-
-
-def apply_Htilde(p: ModelParams, f: LatticeFunction, x: MultiIndex) -> float:
-    """(H-tilde f)(x) for f tabulated on {|x| <= S}; needs every x+e_j
-    inside the truncation."""
-    if sum(x) + 1 > f.S:
-        raise TruncationBoundary(
-            f"x={x} has |x|+1 > S={f.S}; apply at interior points only"
-        )
-    return _htilde_at(p, x, f.__getitem__)
 
 
 def eigen_check(
@@ -137,13 +109,15 @@ def eigen_check(
 @dataclass(frozen=True)
 class _Couplings:
     """Every coupling x <-> x+e_j inside {|x| <= S}, listed once as lattice
-    positions a (of x) and b (of x+e_j) with direction j, and the rates over
-    the lattice: birth[x] = B(x), death[x, j] = D_j(x) and out_rate[x] =
-    sum_j (B + D_j)(x), summed with math.fsum."""
+    positions a (of x) and b (of x+e_j) with direction j; the positions
+    `inner` of the interior points |x| < S, whose couplings all stayed
+    inside; and the rates over the lattice: birth[x] = B(x), death[x, j] =
+    D_j(x) and out_rate[x] = sum_j (B + D_j)(x), summed with math.fsum."""
 
     a: np.ndarray
     b: np.ndarray
     j: np.ndarray
+    inner: np.ndarray
     birth: np.ndarray
     death: np.ndarray
     out_rate: np.ndarray
@@ -162,81 +136,57 @@ def _couplings(p: ModelParams, S: int) -> _Couplings:
     j = np.tile(np.arange(p.n), len(inner))
     # row (a, j) of the shifted block is x+e_j at x = X[a]
     b = lattice_rank((X[inner, None, :] + np.eye(p.n, dtype=X.dtype)).reshape(-1, p.n))
-    return _Couplings(a, b, j, birth, death, out_rate)
+    return _Couplings(a, b, j, inner, birth, death, out_rate)
 
 
-def _csr(
+def _dense(
     diagonal: np.ndarray, *parts: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> sp.csr_matrix:
-    """Square CSR matrix with this diagonal and the off-diagonal
-    (rows, cols, values) parts; no position may repeat."""
-    import scipy.sparse as sp
-
-    size = len(diagonal)
-    diag = np.arange(size)
-    rows, cols, vals = (
-        np.concatenate(k) for k in zip((diag, diag, diagonal), *parts)
-    )
-    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+) -> np.ndarray:
+    """Square array with this diagonal and the off-diagonal (rows, cols,
+    values) parts; no position may repeat."""
+    out = np.diag(diagonal)
+    for rows, cols, values in parts:
+        out[rows, cols] = values
+    return out
 
 
-def build_H(p: ModelParams, S: int) -> sp.csr_matrix:
-    """Symmetric H on {|x| <= S}: diagonal sum_j (B_j + D_j), off-diagonal
-    -sqrt(B_j(x) D_j(x+e_j)) at x <-> x+e_j.  Both triangle entries are
-    written from the same float, so the result is bitwise symmetric."""
-    k = _couplings(p, S)
+def _H(k: _Couplings) -> np.ndarray:
     v = -np.sqrt(k.birth[k.a] * k.death[k.b, k.j])
-    return _csr(k.out_rate, (k.a, k.b, v), (k.b, k.a, v))
+    return _dense(k.out_rate, (k.a, k.b, v), (k.b, k.a, v))
 
 
-def build_A(p: ModelParams, S: int, j: int) -> sp.csr_matrix:
-    """Factor A_j on {|x| <= S}: A_j[x, x] = sqrt(B_j(x)),
-    A_j[x, x+e_j] = -sqrt(D_j(x+e_j))."""
+def build_H(p: ModelParams, S: int) -> np.ndarray:
+    """Symmetric H on {|x| <= S} as a dense N x N array, N = C(S+n, n):
+    diagonal sum_j (B_j + D_j), off-diagonal -sqrt(B_j(x) D_j(x+e_j)) at
+    x <-> x+e_j.  Both triangle entries are written from the same float, so
+    the result is bitwise symmetric.  The package forms H only inside
+    `operator_algebra_report`, which `verify` runs at S <= 10."""
+    return _H(_couplings(p, S))
+
+
+def build_A(p: ModelParams, S: int, j: int) -> np.ndarray:
+    """Factor A_j on {|x| <= S} as a dense N x N array, N = C(S+n, n):
+    A_j[x, x] = sqrt(B_j(x)), A_j[x, x+e_j] = -sqrt(D_j(x+e_j)).  The
+    package reads these entries off the coupling list and never builds
+    A_j."""
     k = _couplings(p, S)
     a, b = k.a[k.j == j], k.b[k.j == j]
-    return _csr(np.sqrt(k.birth), (a, b, -np.sqrt(k.death[b, j])))
+    return _dense(np.sqrt(k.birth), (a, b, -np.sqrt(k.death[b, j])))
 
 
-def build_LBD(p: ModelParams, S: int) -> sp.csr_matrix:
-    """Generator acting on distributions: (L P)(x) = -sum_j (B_j + D_j)(x) P(x)
-    + sum_j B_j(x-e_j) P(x-e_j) + sum_j D_j(x+e_j) P(x+e_j), soft-truncated."""
+def build_LBD(p: ModelParams, S: int) -> np.ndarray:
+    """Generator acting on distributions, as a dense N x N array,
+    N = C(S+n, n): (L P)(x) = -sum_j (B_j + D_j)(x) P(x)
+    + sum_j B_j(x-e_j) P(x-e_j) + sum_j D_j(x+e_j) P(x+e_j), soft-truncated.
+    The package does not build it."""
     k = _couplings(p, S)
-    return _csr(
+    return _dense(
         -k.out_rate, (k.b, k.a, k.birth[k.a]), (k.a, k.b, k.death[k.b, k.j])
     )
 
 
-def interior_mask(n: int, S: int) -> np.ndarray:
-    """True where |x| <= S-1, i.e. every x+e_j coupling stayed inside."""
-    return np.array([sum(x) + 1 <= S for x in enumerate_lattice(n, S)])
-
-
-def _factorization_defect(
-    H: sp.csr_matrix, factors: Sequence[sp.csr_matrix], inner: np.ndarray
-) -> float:
-    """max |H - sum_j A_j^T A_j| over the rows where inner is True."""
-    import scipy.sparse as sp
-
-    acc = sp.csr_matrix(H.shape)
-    for A in factors:
-        acc = acc + A.T @ A
-    diff = (H - acc).toarray()
-    return float(np.abs(diff[inner]).max())
-
-
-def factorization_check(p: ModelParams, S: int) -> float:
-    """max |H - sum_j A_j^T A_j| over interior rows.
-
-    H multiplies the rates under one square root, the A route takes two;
-    agreement is therefore a rounding-level check of the factorization, not
-    a tautology.
-    """
-    factors = [build_A(p, S, j) for j in range(p.n)]
-    return _factorization_defect(build_H(p, S), factors, interior_mask(p.n, S))
-
-
 def operator_algebra_report(p: ModelParams, S: int) -> dict[str, float]:
-    """All the H-level checks in one pass:
+    """All the H-level checks in one pass over one coupling list:
 
     - symmetry_defect: max |H - H^T| (must be exactly 0 by construction)
     - factorization: max |H - sum A^T A| on interior rows
@@ -244,26 +194,38 @@ def operator_algebra_report(p: ModelParams, S: int) -> dict[str, float]:
     - A_sqrtW: max over j of |A_j sqrt(W)| on interior rows
     - min_interior_eigenvalue: smallest eigenvalue of the interior principal
       submatrix (positive semi-definiteness of the truncated operator)
-    """
-    H = build_H(p, S)
-    factors = [build_A(p, S, j) for j in range(p.n)]
-    lat = enumerate_lattice(p.n, S)
-    inner = interior_mask(p.n, S)
-    sqrt_w = np.sqrt(weight_vector(p, lat))
 
-    sym = float(np.abs((H - H.T).toarray()).max())
-    fac = _factorization_defect(H, factors, inner)
+    The factors are read off the coupling list, without forming A_j: A_j is
+    sqrt(B) on the diagonal and -sqrt(D_j(x+e_j)) at (x, x+e_j), so
+    sum_j A_j^T A_j has H's pattern, with sum_j (sqrt(B)^2 + sqrt(D_j)^2)
+    on an interior diagonal and -sqrt(B(x)) sqrt(D_j(x+e_j)) at each
+    coupling, and (A_j sqrt(W))(x) = sqrt(B(x)) sqrt(W(x))
+    - sqrt(D_j(x+e_j)) sqrt(W(x+e_j)).  H takes one square root of the
+    product of the rates, the factors a product of two roots, so their
+    agreement is a rounding-level check of the factorization, not a
+    tautology.
+    """
+    k = _couplings(p, S)
+    H = _H(k)
+    inner = k.inner
+    sqrt_w = np.sqrt(weight_vector(p, enumerate_lattice(p.n, S)))
+    root_b, root_d = np.sqrt(k.birth), np.sqrt(k.death)
+
+    diag = np.zeros(len(inner))
+    for j in range(p.n):
+        diag += root_b[inner] ** 2 + root_d[inner, j] ** 2
+    cross = root_b[k.a] * root_d[k.b, k.j]
+    fac = np.abs(np.concatenate([k.out_rate[inner] - diag, H[k.a, k.b] + cross]))
+    a_w = root_b[k.a] * sqrt_w[k.a] - root_d[k.b, k.j] * sqrt_w[k.b]
     h_w = float(np.abs((H @ sqrt_w)[inner]).max()) / float(
         np.linalg.norm(sqrt_w)
     )
-    a_w = max(float(np.abs((A @ sqrt_w)[inner]).max()) for A in factors)
-    sub = H.toarray()[np.ix_(inner, inner)]
-    min_eig = float(np.linalg.eigvalsh(sub)[0])
+    min_eig = float(np.linalg.eigvalsh(H[np.ix_(inner, inner)])[0])
     return {
-        "symmetry_defect": sym,
-        "factorization": fac,
+        "symmetry_defect": float(np.abs(H - H.T).max()),
+        "factorization": float(fac.max()),
         "H_sqrtW": h_w,
-        "A_sqrtW": a_w,
+        "A_sqrtW": float(np.abs(a_w).max()),
         "min_interior_eigenvalue": min_eig,
     }
 

@@ -15,7 +15,7 @@ r <= x of its m's list in Python floats and sums them with fsum; a table
 a time over every m whose list holds r, on blocks of points, and each of
 its values is the one a loop over its own m's list gives.
 
-Route 2 (`genfun_eval`, `genfun_all`): expansion of the generating function
+Route 2 (`genfun_all`): expansion of the generating function
 
     G(x; t) = (1 - |t|)^(-beta-|x|) * prod_i (1 - sum_j b_ij t_j)^(x_i)
 
@@ -37,7 +37,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegreeCapExceeded
 from .model import (
     ModelParams,
     MultiIndex,
@@ -47,10 +46,6 @@ from .model import (
     shifted_factorial,
 )
 from .spectral import SpectralData
-
-# Default total-degree cap for generating-function expansions.
-DEFAULT_SERIES_CAP = 8
-
 
 # ---------------------------------------------------------------------------
 # Route 1: terminating matrix sum
@@ -353,13 +348,6 @@ class TruncatedSeries:
         values = np.bincount(k, weights=self.values[ia] * other.values[ib], minlength=len(self.values))
         return TruncatedSeries(self.n_vars, self.cap, values)
 
-    def coefficient(self, m: MultiIndex) -> float:
-        if sum(m) > self.cap:
-            raise DegreeCapExceeded(f"degree {sum(m)} beyond cap {self.cap}")
-        if len(m) != self.n_vars or min(m) < 0:
-            raise ValueError(f"exponent {tuple(m)} is not in N_0^{self.n_vars}")
-        return float(self.values[lattice_rank(np.array([m]))[0]])
-
 
 def genfun_series(
     p: ModelParams, sd: SpectralData, x: MultiIndex, cap: int
@@ -374,26 +362,6 @@ def genfun_series(
     return series
 
 
-def genfun_eval(
-    p: ModelParams,
-    sd: SpectralData,
-    m: MultiIndex,
-    x: MultiIndex,
-    cap: int = DEFAULT_SERIES_CAP,
-) -> float:
-    """P_m(x) read off the generating function: coefficient of t^m divided by
-    (beta)_{|m|}/m!.  Expands only to total degree |m|; the truncation is
-    exact for every extracted coefficient."""
-    deg = sum(m)
-    if deg > cap:
-        raise DegreeCapExceeded(f"|m| = {deg} exceeds the configured cap {cap}")
-    series = genfun_series(p, sd, x, deg)
-    norm = shifted_factorial(p.beta, deg)
-    for mi in m:
-        norm /= math.factorial(mi)
-    return series.coefficient(tuple(m)) / norm
-
-
 def genfun_all(
     p: ModelParams, sd: SpectralData, x: MultiIndex, max_deg: int
 ) -> dict[MultiIndex, float]:
@@ -405,26 +373,8 @@ def genfun_all(
 
 
 # ---------------------------------------------------------------------------
-# single-variable base case and tables
+# tables
 # ---------------------------------------------------------------------------
-
-def meixner_1d(beta: float, c: float, m: int, x: int) -> float:
-    """Single-variable polynomial: the terminating 2F1 sum at argument 1 - 1/c.
-
-    Terms alternate in sign (the argument is negative for 0 < c < 1), so the
-    exactly-rounded fsum keeps cancellation from inflating the result.
-    """
-    z = 1.0 - 1.0 / c
-    terms = [
-        shifted_factorial(-m, k)
-        * shifted_factorial(-x, k)
-        / shifted_factorial(beta, k)
-        * z**k
-        / math.factorial(k)
-        for k in range(min(m, x) + 1)
-    ]
-    return math.fsum(terms)
-
 
 @dataclass(frozen=True)
 class PolyTable:

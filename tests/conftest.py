@@ -1,6 +1,10 @@
+import math
 from functools import lru_cache
 
-from mvmeixner.model import ModelParams, enumerate_lattice
+import numpy as np
+
+from mvmeixner.errors import DegreeCapExceeded
+from mvmeixner.model import ModelParams, enumerate_lattice, lattice_rank, shifted_factorial
 from mvmeixner.spectral import SpectralData, solve
 
 # Desk-scale instances used across the suite: distinct rates per dimension.
@@ -27,3 +31,30 @@ def unit_shift(x: tuple[int, ...], j: int, step: int) -> tuple[int, ...]:
 
 def all_instances() -> list[tuple[ModelParams, SpectralData]]:
     return [instance(n, beta) for n in (1, 2, 3) for beta in BETAS]
+
+
+def meixner_1d(beta: float, c: float, m: int, x: int) -> float:
+    """Single-variable oracle: the terminating 2F1 sum at argument 1 - 1/c.
+
+    Terms alternate in sign (the argument is negative for 0 < c < 1), so the
+    exactly-rounded fsum keeps cancellation from inflating the result.
+    """
+    z = 1.0 - 1.0 / c
+    terms = [
+        shifted_factorial(-m, k)
+        * shifted_factorial(-x, k)
+        / shifted_factorial(beta, k)
+        * z**k
+        / math.factorial(k)
+        for k in range(min(m, x) + 1)
+    ]
+    return math.fsum(terms)
+
+
+def series_coefficient(series, m: tuple[int, ...]) -> float:
+    """Coefficient of t^m in a polynomials.TruncatedSeries."""
+    if sum(m) > series.cap:
+        raise DegreeCapExceeded(f"degree {sum(m)} beyond cap {series.cap}")
+    if len(m) != series.n_vars or min(m) < 0:
+        raise ValueError(f"exponent {tuple(m)} is not in N_0^{series.n_vars}")
+    return float(series.values[lattice_rank(np.array([m]))[0]])

@@ -16,7 +16,6 @@ from mvmeixner.bdprocess import (
     choose_orthogonality_S,
     moment_check,
     orthogonality_check,
-    phi_hat,
     simulate,
     transition_matrix,
     transition_prob,
@@ -34,6 +33,12 @@ from mvmeixner.model import (
 from mvmeixner.polynomials import meixner_eval, poly_table
 from mvmeixner.operators import birth_rate, death_rate
 from mvmeixner.spectral import SpectralData, solve
+
+
+def phi_hat(p, sd, m, x):
+    """Orthonormal vector entry sqrt(W(x)) P_m(x) sqrt(Wbar(m)), from the
+    pointwise route 1."""
+    return math.sqrt(weight(p, x)) * meixner_eval(p, sd, m, x) * math.sqrt(wbar(p, sd, m))
 
 
 class TestWeights:

@@ -183,7 +183,7 @@ class TestTableCommand:
         assert all(v == "1" for v in row0[1:])
 
     def test_n1_matches_single_variable(self, tmp_path):
-        from mvmeixner.polynomials import meixner_1d
+        from conftest import meixner_1d
 
         cfg = write_config(
             tmp_path, beta=1.0, c=[0.5],
@@ -306,18 +306,26 @@ class TestSimulateCommand:
 
 
 class TestColdImport:
-    @pytest.mark.parametrize("module", ["mvmeixner", "mvmeixner.cli"])
-    def test_import_loads_no_scipy(self, module):
-        # scipy costs about a second per cold process; only verify
-        # (scipy.sparse) and simulate (scipy.special) may load it
+    # scipy costs about a second per cold process; only simulate
+    # (scipy.special) may load it
+    @staticmethod
+    def _scipy_after(code):
+        """The scipy modules loaded once code has run in a fresh interpreter."""
         src = str(Path(mvmeixner.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-        code = (
-            f"import sys, {module}; "
-            "print(sorted(k for k in sys.modules if k.partition('.')[0] == 'scipy'))"
-        )
+        code += "; print(sorted(k for k in sys.modules if k.partition('.')[0] == 'scipy'))"
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", "import sys; " + code],
+            env=env, capture_output=True, text=True, check=True,
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("module", ["mvmeixner", "mvmeixner.cli"])
+    def test_import_loads_no_scipy(self, module):
+        assert self._scipy_after(f"import {module}") == "[]"
+
+    def test_verify_loads_no_scipy(self, tmp_path):
+        cfg = write_config(tmp_path, beta=1.0, c=[0.5])
+        code = f"from mvmeixner.cli import main; assert main(['verify', {cfg!r}]) == 0"
+        assert self._scipy_after(code) == "[]"

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_instances, instance, lattice_index, unit_shift
+from conftest import all_instances, instance, lattice_index, series_coefficient, unit_shift
 from mvmeixner import operators
-from mvmeixner.errors import SingularGenfun, TruncationBoundary
+from mvmeixner.errors import SingularGenfun
 from mvmeixner.model import (
     ModelParams,
     compositions_upto,
@@ -17,18 +17,15 @@ from mvmeixner.model import (
     weight_vector,
 )
 from mvmeixner.operators import (
-    LatticeFunction,
-    apply_Htilde,
+    _htilde_at,
     birth_rate,
     build_A,
     build_H,
     build_LBD,
     death_rate,
     eigen_check,
-    factorization_check,
     genfun_identity_richardson,
     genfun_value,
-    interior_mask,
     operator_algebra_report,
 )
 from mvmeixner.polynomials import poly_values
@@ -36,10 +33,10 @@ from mvmeixner.spectral import solve
 
 
 def poly_lattice_function(p, sd, m, S):
-    """P_m tabulated on {|x| <= S}."""
+    """P_m tabulated on {|x| <= S}, as a dict from point to value."""
     lat = enumerate_lattice(p.n, S)
     vals = poly_values(p, sd, m, np.array(lat, dtype=int))
-    return LatticeFunction(S=S, values=dict(zip(lat, vals.tolist())))
+    return dict(zip(lat, vals.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +89,7 @@ def _same_bits(a, b):
 
 
 class TestHtildeOracle:
-    """eigen_check and apply_Htilde against the scalar loop, with == and
+    """eigen_check and _htilde_at against the scalar loop, with == and
     equal signs, over n = 1-4 with points on the boundary x_j = 0."""
 
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -115,17 +112,16 @@ class TestHtildeOracle:
         values = st.lists(
             st.floats(-1e3, 1e3, allow_subnormal=False), min_size=len(lattice), max_size=len(lattice)
         )
-        f = LatticeFunction(S, dict(zip(lattice, data.draw(values, label="f"))))
+        f = dict(zip(lattice, data.draw(values, label="f")))
         x = data.draw(st.sampled_from(enumerate_lattice(n, S - 1)), label="x")
-        assert _same_bits(apply_Htilde(p, f, x), _oracle_htilde(p, x, f.__getitem__))
+        assert _same_bits(_htilde_at(p, x, f.__getitem__), _oracle_htilde(p, x, f.__getitem__))
 
 
 class TestApplyHtilde:
     def test_kills_constants(self):
         for p, _ in all_instances():
-            ones = LatticeFunction.from_callable(p.n, 6, lambda x: 1.0)
             for x in enumerate_lattice(p.n, 5):
-                assert apply_Htilde(p, ones, x) == 0.0
+                assert _htilde_at(p, x, lambda y: 1.0) == 0.0
 
     def test_degree_one_eigenfunction(self):
         for p, sd in all_instances():
@@ -133,22 +129,15 @@ class TestApplyHtilde:
                 m = tuple(1 if k == j else 0 for k in range(p.n))
                 f = poly_lattice_function(p, sd, m, 7)
                 for x in enumerate_lattice(p.n, 6):
-                    got = apply_Htilde(p, f, x)
+                    got = _htilde_at(p, x, f.__getitem__)
                     assert got == pytest.approx(sd.lam[j] * f[x], rel=1e-10, abs=1e-10)
 
     def test_coincident_rates_difference_eigenfunction(self):
         # c_1 = c_2 = c: x_1 - x_2 is an exact eigenfunction with eigenvalue 1/c
         c = 0.4
         p = ModelParams(1.0, (c, c))
-        f = LatticeFunction.from_callable(2, 9, lambda x: float(x[0] - x[1]))
         for x in enumerate_lattice(2, 8):
-            assert apply_Htilde(p, f, x) == (x[0] - x[1]) / c
-
-    def test_boundary_guard(self):
-        p, _ = instance(2, 1.5)
-        ones = LatticeFunction.from_callable(2, 4, lambda x: 1.0)
-        with pytest.raises(TruncationBoundary):
-            apply_Htilde(p, ones, (4, 0))
+            assert _htilde_at(p, x, lambda y: float(y[0] - y[1])) == (x[0] - x[1]) / c
 
 
 class TestEigenCheck:
@@ -234,60 +223,70 @@ def reference_matrices(p, S):
     return H, A, L
 
 
+def interior(n, S):
+    """True at the x with |x| < S, whose couplings x <-> x+e_j all stayed
+    inside {|x| <= S}."""
+    return np.array([sum(x) < S for x in enumerate_lattice(n, S)])
+
+
+MATRIX_SETS = [
+    (1.0, (0.5,), 12),
+    (1.5, (0.2, 0.3), 10),
+    (0.7, (0.1, 0.15, 0.2), 8),
+    (2.0, (0.05, 0.1, 0.2, 0.3), 5),
+    # (S+1)^n = 2^64: the lattice keys no longer fit in int64
+    (0.9, tuple(0.9 * k / 2080 for k in range(1, 65)), 1),
+]
+
+
 class TestMatrixOperators:
-    @pytest.mark.parametrize(
-        "beta, c, S",
-        [
-            (1.0, (0.5,), 12),
-            (1.5, (0.2, 0.3), 10),
-            (0.7, (0.1, 0.15, 0.2), 8),
-            (2.0, (0.05, 0.1, 0.2, 0.3), 5),
-            # (S+1)^n = 2^64: the lattice keys no longer fit in int64
-            (0.9, tuple(0.9 * k / 2080 for k in range(1, 65)), 1),
-        ],
-    )
+    @pytest.mark.parametrize("beta, c, S", MATRIX_SETS)
     def test_matrices_equal_pointwise_assembly(self, beta, c, S):
         p = ModelParams(beta, c)
         H, A, L = reference_matrices(p, S)
         boundary = np.array([sum(x) == S for x in enumerate_lattice(p.n, S)])
         # the boundary rows keep their diagonal and their couplings to x-e_j
         assert np.count_nonzero(H[boundary]) > boundary.sum()
-        assert np.array_equal(build_H(p, S).toarray(), H)
-        assert np.array_equal(build_LBD(p, S).toarray(), L)
+        assert np.array_equal(build_H(p, S), H)
+        assert np.array_equal(build_LBD(p, S), L)
         for j in range(p.n):
-            assert np.array_equal(build_A(p, S, j).toarray(), A[j])
+            assert np.array_equal(build_A(p, S, j), A[j])
 
-    def test_factorization_builds_each_factor_once(self, monkeypatch):
+    def test_algebra_report_reads_one_coupling_list(self, monkeypatch):
         p = ModelParams(1.5, (0.1, 0.15, 0.2))
         calls = []
-        real = operators.build_A
+        real = operators._couplings
         monkeypatch.setattr(
-            operators, "build_A", lambda p, S, j: calls.append(j) or real(p, S, j)
+            operators, "_couplings", lambda p, S: calls.append(S) or real(p, S)
         )
-        assert factorization_check(p, 6) <= 1e-12
-        assert calls == [0, 1, 2]
-
-    def test_algebra_report_builds_each_matrix_once(self, monkeypatch):
-        p = ModelParams(1.5, (0.1, 0.15, 0.2))
-        calls = []
-        real_H, real_A = operators.build_H, operators.build_A
-        monkeypatch.setattr(
-            operators, "build_H", lambda p, S: calls.append("H") or real_H(p, S)
-        )
-        monkeypatch.setattr(
-            operators, "build_A", lambda p, S, j: calls.append(j) or real_A(p, S, j)
-        )
+        monkeypatch.setattr(operators, "build_A", lambda *args: calls.append("A"))
         assert operator_algebra_report(p, 6)["factorization"] <= 1e-12
-        assert calls == ["H", 0, 1, 2]
+        assert calls == [6]
+
+    @pytest.mark.parametrize("beta, c, S", MATRIX_SETS)
+    def test_report_factors_equal_dense_products(self, beta, c, S):
+        # sum_j A_j^T A_j and A_j sqrt(W) from the dense factors, each product
+        # rounded before the sum (a BLAS product may fuse the multiply-add)
+        p = ModelParams(beta, c)
+        H, A, _ = reference_matrices(p, S)
+        inner = interior(p.n, S)
+        sqrt_w = np.sqrt(weight_vector(p, enumerate_lattice(p.n, S)))
+        gram = np.zeros_like(H)
+        for Aj in A:
+            gram = gram + (Aj[:, :, None] * Aj[:, None, :]).sum(axis=0)
+        a_w = max(np.abs((Aj * sqrt_w).sum(axis=1))[inner].max() for Aj in A)
+        rep = operator_algebra_report(p, S)
+        assert rep["factorization"] == np.abs(H - gram)[inner].max()
+        assert rep["A_sqrtW"] == a_w
 
     def test_h_bitwise_symmetric(self):
         for p, _ in (instance(1, 1.0), instance(2, 1.5)):
             H = build_H(p, 8)
-            assert (H != H.T).nnz == 0
+            assert np.array_equal(H, H.T)
 
     def test_factorization(self):
-        assert factorization_check(ModelParams(1.0, (0.5,)), 5) <= 1e-12
-        assert factorization_check(ModelParams(1.5, (0.2, 0.3)), 6) <= 1e-12
+        assert operator_algebra_report(ModelParams(1.0, (0.5,)), 5)["factorization"] <= 1e-12
+        assert operator_algebra_report(ModelParams(1.5, (0.2, 0.3)), 6)["factorization"] <= 1e-12
 
     def test_algebra_report(self):
         p, _ = instance(2, 1.5)
@@ -307,14 +306,12 @@ class TestMatrixOperators:
         H = build_H(p, S)
         rng = np.random.default_rng(5)
         coef = rng.standard_normal(3)
-        f = LatticeFunction.from_callable(
-            2, S, lambda x: 1.0 + coef[0] * x[0] + coef[1] * x[1] + coef[2] * x[0] * x[1]
-        )
-        fvec = np.array([f[x] for x in lat])
+        f = lambda x: 1.0 + coef[0] * x[0] + coef[1] * x[1] + coef[2] * x[0] * x[1]
+        fvec = np.array([f(x) for x in lat])
         via_matrix = (H @ (sqrt_w * fvec)) / sqrt_w
         for k, x in enumerate(lat):
             if sum(x) + 1 <= S:
-                direct = apply_Htilde(p, f, x)
+                direct = _htilde_at(p, x, f)
                 assert via_matrix[k] == pytest.approx(
                     direct, rel=1e-9, abs=1e-9 * (1 + abs(direct))
                 )
@@ -323,7 +320,7 @@ class TestMatrixOperators:
         p, _ = instance(2, 0.7)
         S = 8
         lat = enumerate_lattice(2, S)
-        inner = interior_mask(2, S)
+        inner = interior(2, S)
         L = build_LBD(p, S)
         H = build_H(p, S)
         sqrt_w = np.sqrt(weight_vector(p, lat))
@@ -333,14 +330,14 @@ class TestMatrixOperators:
         rhs = H @ g
         scale = np.abs(rhs[inner]).max()
         assert np.abs((lhs - rhs)[inner]).max() <= 1e-9 * scale
-        col_sums = np.asarray(L.sum(axis=0)).ravel()
+        col_sums = L.sum(axis=0)
         assert np.abs(col_sums[inner]).max() <= 1e-12
 
     def test_zero_modes(self):
         p, _ = instance(1, 1.0)
         S = 12
         lat = enumerate_lattice(1, S)
-        inner = interior_mask(1, S)
+        inner = interior(1, S)
         sqrt_w = np.sqrt(weight_vector(p, lat))
         H = build_H(p, S)
         assert np.abs((H @ sqrt_w)[inner]).max() <= 1e-10 * np.linalg.norm(sqrt_w)
@@ -390,7 +387,7 @@ class TestGenfunIdentity:
         series = genfun_series(p, sd, x, 10)
         t = (0.02, -0.015)
         approx = sum(
-            series.coefficient(k) * t[0] ** k[0] * t[1] ** k[1]
+            series_coefficient(series, k) * t[0] ** k[0] * t[1] ** k[1]
             for k in compositions_upto(10, 2)
         )
         exact = genfun_value(p, sd, x, t)
