@@ -11,7 +11,6 @@ from .errors import (
     ConfigError,
     ConstraintViolation,
     DegenerateParameters,
-    DegreeCapExceeded,
     MeixnerError,
     NegativeTime,
     NonPositiveBeta,
@@ -44,7 +43,6 @@ from .spectral import (
 )
 from .operators import (
     build_H,
-    build_LBD,
     eigen_check,
 )
 from .bdprocess import (
@@ -63,7 +61,6 @@ __all__ = [
     "ConfigError",
     "ConstraintViolation",
     "DegenerateParameters",
-    "DegreeCapExceeded",
     "MeixnerError",
     "ModelParams",
     "NegativeTime",
@@ -76,7 +73,6 @@ __all__ = [
     "TruncatedSeries",
     "TruncationBoundary",
     "build_H",
-    "build_LBD",
     "build_u",
     "chapman_kolmogorov_check",
     "characteristic_matrix",

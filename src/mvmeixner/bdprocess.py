@@ -4,11 +4,14 @@ probabilities, Chapman-Kolmogorov, and an exact-jump stochastic simulator.
 The spectral route expresses the transition probability through the
 orthonormal vectors phi_m = sqrt(W) P_m sqrt(Wbar); the simulator runs the
 continuous-time chain itself.  The two never share code, so their agreement
-cross-validates the whole construction.  Every W- and Wbar-weighted sum over
-the P table is read from one `_SpectralKernel`, built on the points a caller
-needs: x and y for `transition_prob`, the lattice |x| <= S for the
-orthogonality Gram, `transition_matrix`, Chapman-Kolmogorov and the
-simulator's spectral column.
+cross-validates the whole construction.  Every spectral sum over the P table
+is read from one `_SpectralKernel`, built on the int array of points a
+caller needs: x and y for `transition_prob`, the lattice |x| <= S for
+`transition_matrix`, Chapman-Kolmogorov and the simulator's spectral column.
+The W-weighted lattice sums, the orthogonality Gram and the moments, are
+summed one shell |x| = s at a time, so no table of the whole lattice is
+formed.  Every lattice and shell is built in closed form by
+`model.lattice_points`.
 
 The simulator is Gillespie's direct method run in lock-step over batches of
 trajectories: each numpy step advances every live trajectory by one event and
@@ -35,9 +38,8 @@ from .errors import NegativeTime, ParameterError, TailTooLarge, TruncationBounda
 from .model import (
     ModelParams,
     MultiIndex,
-    compositions,
     compositions_upto,
-    enumerate_lattice,
+    lattice_points,
     lattice_rank,
     shifted_factorial,
     tail_bound,
@@ -52,7 +54,7 @@ MAX_EVENTS_PER_TRAJECTORY = 1_000_000
 POOL_EXPECTED_COUNT = 5.0
 RNG_NAME = "philox"
 
-# Truncation searches: the S step and cap of choose_orthogonality_S, the
+# Truncation searches: the S step and cap of orthogonality_check, the
 # bound on the omitted second moment and the S cap of moment_check, the shell
 # bound and M cap of choose_spectral_cutoff, and the mass defect at which
 # _spectral_column stops growing S.
@@ -107,63 +109,52 @@ def orthogonality_check(
     S: int,
     tail_eps: float = 1e-8,
 ) -> OrthogonalityReport:
-    """Gram matrix of {P_m : |m| <= max_deg} under W on {|x| <= S} against
-    the exact norms delta_mm' / Wbar(m).
+    """Gram matrix of {P_m : |m| <= max_deg} under W on {|x| <= S'} against
+    the exact norms delta_mm' / Wbar(m), where S' is the first of S, S+10,
+    ... with tail_bound(S') * max|P|^2 <= tail_eps: the omitted lattice mass
+    then stays below the requested resolution.  TailTooLarge if no
+    S' <= _ORTH_MAX_S reaches it.
 
-    Raises TailTooLarge when tail_bound(S) * max|P|^2 exceeds tail_eps: the
-    omitted lattice mass could then swamp the requested resolution.
-    """
-    kernel = _SpectralKernel(p, sd, max_deg, np.array(enumerate_lattice(p.n, S), dtype=int))
-    max_p = float(np.abs(kernel.P).max())
-    tail_term = tail_bound(p, S) * max_p**2
-    if tail_term > tail_eps:
-        raise TailTooLarge(
-            f"tail_bound(S={S}) * max|P|^2 = {tail_term:.3e} > {tail_eps:.1e}; "
-            "increase S"
-        )
-    gram = kernel.gram()
-    residuals = np.abs(gram)
-    diag = np.abs(np.diag(gram) * kernel.wbar - 1.0)
-    np.fill_diagonal(residuals, diag)
-    return OrthogonalityReport(
-        m_list=kernel.m_list, gram=gram, residuals=residuals, S=S, tail_term=tail_term
-    )
-
-
-def choose_orthogonality_S(
-    p: ModelParams,
-    sd: SpectralData,
-    max_deg: int,
-    tail_eps: float = 1e-8,
-    start: int = 20,
-) -> int:
-    """Smallest tried S with tail_bound(S) * max|P|^2 <= tail_eps.
-
-    max|P| over |x| <= S is kept as a running maximum: each step evaluates
-    every P only on the new shells S_prev < |x| <= S, one shell at a time to
-    keep the arrays small, and the table evaluator works point by point, so
-    every step sees the same values a full table would hold.
+    The lattice is walked one shell |x| = s at a time: each shell's P is
+    evaluated once, added into the Gram as (P W) P^T and into the running
+    max|P|, and dropped.  The table evaluator works point by point, so every
+    value is the one a full table would hold.
     """
     m_list = compositions_upto(max_deg, p.n)
+    gram = np.zeros((len(m_list), len(m_list)))
     max_p = 0.0
-    done = -1  # shells |x| <= done are already in max_p
-    S = start
+    done = -1  # shells |x| <= done are already summed
     while S <= _ORTH_MAX_S:
         for s in range(done + 1, S + 1):
-            values = _table_values(p, sd, m_list, np.array(compositions(s, p.n), dtype=int))
+            X = lattice_points(p.n, s, s)
+            values = _table_values(p, sd, m_list, X)
+            gram += (values * weight_vector(p, X)) @ values.T
             # np.maximum, unlike max(), keeps a NaN
             max_p = float(np.maximum(max_p, np.abs(values).max()))
         done = S
-        if tail_bound(p, S) * max_p**2 <= tail_eps:
-            return S
+        tail_term = tail_bound(p, S) * max_p**2
+        if tail_term <= tail_eps:
+            wbars = np.array([wbar(p, sd, m) for m in m_list])
+            residuals = np.abs(gram)
+            np.fill_diagonal(residuals, np.abs(np.diag(gram) * wbars - 1.0))
+            return OrthogonalityReport(
+                m_list=m_list, gram=gram, residuals=residuals, S=S, tail_term=tail_term
+            )
         S += _ORTH_S_STEP
     raise TailTooLarge(f"no S <= {_ORTH_MAX_S} reaches tail target {tail_eps:.1e}")
 
 
+def choose_orthogonality_S(
+    p: ModelParams, sd: SpectralData, max_deg: int, tail_eps: float = 1e-8, start: int = 20
+) -> int:
+    """The S orthogonality_check settles on from the first try `start`."""
+    return orthogonality_check(p, sd, max_deg, start, tail_eps).S
+
+
 def moment_check(p: ModelParams, S: int | None = None) -> dict[str, float]:
-    """First and second moments of W by direct lattice summation against the
-    closed forms c_j beta/(1-|c|) and beta(beta+1)c_j c_k/(1-|c|)^2 (+ the
-    diagonal correction).
+    """First and second moments of W, summed over {|x| <= S} one shell at a
+    time, against the closed forms c_j beta/(1-|c|) and
+    beta(beta+1)c_j c_k/(1-|c|)^2 (+ the diagonal correction).
 
     With S=None, S is the first of 20, 40, ... whose omitted second moment
     tail_bound(S, 2) is at most _MOMENT_TAIL_EPS; TailTooLarge if none up to
@@ -178,15 +169,17 @@ def moment_check(p: ModelParams, S: int | None = None) -> dict[str, float]:
                     f"at S={S}; no S <= {_MOMENT_MAX_S} reaches it"
                 )
             S += 20
-    lat = enumerate_lattice(p.n, S)
-    w = weight_vector(p, lat)
-    X = np.array(lat, dtype=float)
+    mean = np.zeros(p.n)
+    second = np.zeros((p.n, p.n))
+    for s in range(S + 1):
+        X = lattice_points(p.n, s, s)
+        w = weight_vector(p, X)
+        mean += w @ X
+        second += (X.T * w) @ X
     q = p.c_mass
     c = np.asarray(p.c)
 
-    mean = w @ X
     mean_exact = c * p.beta / (1.0 - q)
-    second = (X.T * w[None, :]) @ X
     second_exact = (
         p.beta * (p.beta + 1.0) * np.outer(c, c) / (1.0 - q) ** 2
         + np.diag(p.beta * c / (1.0 - q))
@@ -310,7 +303,9 @@ class _SpectralKernel:
     Wbar and E computed once; x and y are given as positions into X.
 
     A row or a column costs O(#m * N); only `matrix` builds the dense
-    N x N kernel.  `extend` appends points, evaluating only those.
+    N x N kernel.  `extend` appends points, evaluating only those.  The
+    orthogonality Gram is not formed here: orthogonality_check sums it shell
+    by shell.
     """
 
     def __init__(self, p: ModelParams, sd: SpectralData, M: int, X: np.ndarray):
@@ -335,10 +330,6 @@ class _SpectralKernel:
     def decay(self, t: float) -> np.ndarray:
         """Wbar(m) e^{-E(m) t} over the degree list."""
         return self.wbar * np.exp(-self.energy * t)
-
-    def gram(self) -> np.ndarray:
-        """sum_x W(x) P_m(x) P_m'(x) over the points, for every m, m'."""
-        return (self.P * self.w) @ self.P.T
 
     def matrix(self, t: float) -> np.ndarray:
         P = self.P
@@ -366,7 +357,7 @@ def transition_matrix(
     """
     if t < 0:
         raise NegativeTime(f"t must be >= 0, got {t}")
-    return _SpectralKernel(p, sd, M, np.array(enumerate_lattice(p.n, S), dtype=int)).matrix(t)
+    return _SpectralKernel(p, sd, M, lattice_points(p.n, 0, S)).matrix(t)
 
 
 def chapman_kolmogorov_check(
@@ -382,7 +373,7 @@ def chapman_kolmogorov_check(
     """|T(x,y; t+t') - sum_{|z| <= S} T(x,z; t) T(z,y; t')| with an estimate
     of what the z- and m-truncations can contribute."""
     ix, iy = _position(x, p.n, S), _position(y, p.n, S)
-    kernel = _SpectralKernel(p, sd, M, np.array(enumerate_lattice(p.n, S), dtype=int))
+    kernel = _SpectralKernel(p, sd, M, lattice_points(p.n, 0, S))
     first_leg = kernel.row(ix, t)
     second_leg = kernel.column(iy, t_prime)
     direct = kernel.row(ix, t + t_prime)[iy]
@@ -394,7 +385,7 @@ def chapman_kolmogorov_check(
     escaped = abs(1.0 - float(second_leg.sum()))
     z_escape = escaped * float(np.abs(first_leg).max())
     # m_list is graded-lex, so the shell |m| = M is its tail
-    top = slice(-len(compositions(M, p.n)), None)
+    top = slice(-math.comb(M + p.n - 1, p.n - 1), None)
     P = kernel.P
     shell = kernel.w[ix] * float(
         np.abs(kernel.decay(t + t_prime)[top] * P[top, ix] * P[top, iy]).sum()
@@ -610,14 +601,14 @@ def compare_sim_spectral(
 
     N = sim.n_traj
     S = max(max((sum(s) for s in sim.counts), default=0), sum(sim.x0)) + 5
-    probs, lat = _spectral_column(p, sd, sim.x0, sim.t, M, S)
+    probs, X = _spectral_column(p, sd, sim.x0, sim.t, M, S)
 
     rows: list[StateRow] = []
     cells: list[tuple[float, int]] = []
     covered_p = 0.0
     covered_n = 0
     max_abs_z = 0.0
-    for s, prob in zip(lat, probs):
+    for s, prob in zip(map(tuple, X.tolist()), probs):
         prob = max(float(prob), 0.0)
         count = sim.counts.get(s, 0)
         if count == 0 and N * prob < POOL_EXPECTED_COUNT:
@@ -663,9 +654,10 @@ def _spectral_column(
     t: float,
     M: int,
     S: int,
-) -> tuple[np.ndarray, list[MultiIndex]]:
-    """Distribution T(., x0; t) over {|x| <= S}, growing S by 10 until the
-    column sums to 1 within _COLUMN_MASS_TOL or S reaches 120.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distribution T(., x0; t) over {|x| <= S} and those points as an int
+    array, growing S by 10 until the column sums to 1 within
+    _COLUMN_MASS_TOL or S reaches 120.
 
     The sum over the whole lattice is exactly 1 for every M (orthogonality
     to P_0), so the mass test closes only the escape from |x| <= S; it is
@@ -673,11 +665,10 @@ def _spectral_column(
     shells, and the column is the one a kernel built at the final S gives.
     """
     j = _position(x0, p.n, S)
-    kernel = _SpectralKernel(p, sd, M, np.array(enumerate_lattice(p.n, S), dtype=int))
+    kernel = _SpectralKernel(p, sd, M, lattice_points(p.n, 0, S))
     while True:
         col = kernel.column(j, t)
         if abs(1.0 - float(col.sum())) <= _COLUMN_MASS_TOL or S >= 120:
-            return col, enumerate_lattice(p.n, S)
-        new = [x for s in range(S + 1, S + 11) for x in compositions(s, p.n)]
-        kernel.extend(np.array(new, dtype=int))
+            return col, lattice_points(p.n, 0, S)
+        kernel.extend(lattice_points(p.n, S + 1, S + 10))
         S += 10

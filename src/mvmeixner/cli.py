@@ -229,10 +229,7 @@ def _verify_checks(cfg: RunConfig) -> dict[str, dict]:
         CONSTRAINT_TOL,
     )
 
-    S_orth = bdprocess.choose_orthogonality_S(
-        p, sd, cfg.max_deg, ORTH_TAIL_TARGET, start=cfg.S
-    )
-    orth = bdprocess.orthogonality_check(p, sd, cfg.max_deg, S_orth, ORTH_TAIL_TARGET)
+    orth = bdprocess.orthogonality_check(p, sd, cfg.max_deg, cfg.S, ORTH_TAIL_TARGET)
     record("orthogonality_offdiag", orth.max_offdiag, cfg.eps_orth)
     record("orthogonality_diag", orth.max_diag, cfg.eps_orth)
 

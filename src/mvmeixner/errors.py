@@ -29,10 +29,6 @@ class ConstraintViolation(MeixnerError):
     """A spectral constraint residual exceeded its gate (upstream solver failure)."""
 
 
-class DegreeCapExceeded(MeixnerError):
-    """Requested coefficient lies beyond the truncated series degree cap."""
-
-
 class TruncationBoundary(MeixnerError):
     """Operator application needs a lattice point outside the truncation."""
 

@@ -3,8 +3,9 @@
 Multi-indices are plain tuples of nonnegative ints throughout the package;
 the canonical serialization order for anything indexed by the lattice is
 graded lexicographic (total degree first, then first entry descending),
-as produced by :func:`enumerate_lattice`, and :func:`lattice_rank` gives a
-point's position in that order in closed form.
+as produced by :func:`enumerate_lattice`.  :func:`lattice_rank` gives a
+point's position in that order in closed form, and :func:`lattice_points`
+builds shells as int arrays by its inverse :func:`lattice_unrank`.
 """
 
 from __future__ import annotations
@@ -177,6 +178,32 @@ def lattice_rank(X: np.ndarray) -> np.ndarray:
     return rank
 
 
+def lattice_unrank(rank: np.ndarray, n: int) -> np.ndarray:
+    """The points of N_0^n at the graded-lex positions `rank`, as an int
+    array of shape (len(rank), n): the inverse of lattice_rank.  Its sum
+    rank = sum_i T[n-i, s_i] is read off from the front: s_i is the largest
+    s with T[n-i, s] <= what is left of the rank, found by searchsorted."""
+    rank = np.asarray(rank, dtype=np.int64)
+    last, top = int(rank.max(initial=0)), 1
+    # doubled past the largest rank's shell, so a walk over shells reuses few tables
+    while math.comb(top + n, n) <= last:  # C(top + n, n) points have |x| <= top
+        top *= 2
+    T = _rank_table(top, n)
+    s = np.zeros((len(rank), n + 1), dtype=np.int64)
+    for i in range(n):
+        s[:, i] = np.searchsorted(T[n - i], rank, side="right") - 1
+        rank = rank - T[n - i][s[:, i]]
+    return s[:, :n] - s[:, 1:]
+
+
+def lattice_points(n: int, lo: int, hi: int) -> np.ndarray:
+    """The points lo <= |x| <= hi of N_0^n as an int array, graded-lex: the
+    positions C(lo-1+n, n) to C(hi+n, n) (T[n, lo] to T[n, hi+1] of
+    _rank_table), unranked."""
+    first = math.comb(lo - 1 + n, n) if lo else 0
+    return lattice_unrank(np.arange(first, math.comb(hi + n, n)), n)
+
+
 # ---------------------------------------------------------------------------
 # stationary weight and its tail
 # ---------------------------------------------------------------------------
@@ -209,14 +236,16 @@ def weight_vector(p: ModelParams, lattice: Sequence[MultiIndex]) -> np.ndarray:
     if not len(X):
         return np.array([])
     S = X.sum(axis=1)
+    # each table spans only the values present: a shell has one |x|
+    lo = int(S.min())
     shell_term = p.beta * math.log1p(-p.c_mass)
     out = np.array(
-        [log_shifted_factorial(p.beta, s) + shell_term for s in range(int(S.max()) + 1)]
-    )[S]
+        [log_shifted_factorial(p.beta, s) + shell_term for s in range(lo, int(S.max()) + 1)]
+    )[S - lo]
     for i, ci in enumerate(p.c):
-        log_ci = math.log(ci)
-        coord = [k * log_ci - math.lgamma(k + 1) for k in range(int(X[:, i].max()) + 1)]
-        out += np.array(coord)[X[:, i]]
+        log_ci, lo = math.log(ci), int(X[:, i].min())
+        coord = [k * log_ci - math.lgamma(k + 1) for k in range(lo, int(X[:, i].max()) + 1)]
+        out += np.array(coord)[X[:, i] - lo]
     return np.array([math.exp(v) for v in out.tolist()])
 
 

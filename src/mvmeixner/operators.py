@@ -1,14 +1,15 @@
-"""Lattice difference operators: L_BD, H, H-tilde, and their identities.
+"""Lattice difference operators: H, its factors A_j, H-tilde, and their
+identities.
 
-All three act on functions over the truncated lattice {|x| <= S} in
+All of them act on functions over the truncated lattice {|x| <= S} in
 graded-lex order.  Matrix couplings that would leave the truncation are
 dropped (soft truncation), so identities are asserted at interior points
 only; the infinite lattice has no boundary and we refuse to invent one.
 
 The process moves x only to x +- e_j.  `_couplings` lists every such pair
 x <-> x+e_j inside the truncation once, with the rates B(x) and D_j(x) over
-the lattice.  `build_H`, `build_A` and `build_LBD` write that one list into
-dense N x N numpy arrays, N = C(S+n, n), so each holds N^2 floats.  The
+the lattice.  `build_H` and `build_A` write that one list into dense N x N
+numpy arrays, N = C(S+n, n), so each holds N^2 floats.  The
 package builds only H, in `operator_algebra_report` at S <= 10 (N = 3003 at
 n = 5), and reads the factors A_j off the coupling list.  H-tilde is
 written once, in `_htilde`, as array code over a block of points that reads
@@ -172,17 +173,6 @@ def build_A(p: ModelParams, S: int, j: int) -> np.ndarray:
     k = _couplings(p, S)
     a, b = k.a[k.j == j], k.b[k.j == j]
     return _dense(np.sqrt(k.birth), (a, b, -np.sqrt(k.death[b, j])))
-
-
-def build_LBD(p: ModelParams, S: int) -> np.ndarray:
-    """Generator acting on distributions, as a dense N x N array,
-    N = C(S+n, n): (L P)(x) = -sum_j (B_j + D_j)(x) P(x)
-    + sum_j B_j(x-e_j) P(x-e_j) + sum_j D_j(x+e_j) P(x+e_j), soft-truncated.
-    The package does not build it."""
-    k = _couplings(p, S)
-    return _dense(
-        -k.out_rate, (k.b, k.a, k.birth[k.a]), (k.a, k.b, k.death[k.b, k.j])
-    )
 
 
 def operator_algebra_report(p: ModelParams, S: int) -> dict[str, float]:

@@ -3,13 +3,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from mvmeixner.errors import DegreeCapExceeded
+from mvmeixner.errors import MeixnerError
 from mvmeixner.model import ModelParams, enumerate_lattice, lattice_rank, shifted_factorial
 from mvmeixner.spectral import SpectralData, solve
 
 # Desk-scale instances used across the suite: distinct rates per dimension.
 C_BY_N = {1: (0.5,), 2: (0.2, 0.3), 3: (0.1, 0.2, 0.3)}
 BETAS = (0.7, 1.5)
+
+
+class DegreeCapExceeded(MeixnerError):
+    """The tests' series oracles: a coefficient lies beyond the degree cap
+    of the expansion."""
 
 
 @lru_cache(maxsize=None)

@@ -83,15 +83,13 @@ class TestWeights:
 class TestOrthogonality:
     def test_norms_against_dual_weight(self):
         p, sd = instance(2, 1.5)
-        S = choose_orthogonality_S(p, sd, 3, 1e-8)
-        rep = orthogonality_check(p, sd, 3, S)
+        rep = orthogonality_check(p, sd, 3, 20)
         assert rep.max_offdiag <= 1e-6
         assert rep.max_diag <= 1e-6
 
     def test_degree_zero_and_one_norms(self):
         p, sd = instance(2, 0.7)
-        S = choose_orthogonality_S(p, sd, 2, 1e-8)
-        rep = orthogonality_check(p, sd, 2, S)
+        rep = orthogonality_check(p, sd, 2, 20)
         i0 = rep.m_list.index((0, 0))
         assert rep.gram[i0, i0] == pytest.approx(1.0, abs=1e-9)
         for j in range(2):
@@ -103,25 +101,27 @@ class TestOrthogonality:
             )
 
     def test_tail_guard(self):
-        p, sd = instance(2, 1.5)
-        with pytest.raises(TailTooLarge):
-            orthogonality_check(p, sd, 3, 6, tail_eps=1e-10)
+        # max|P|^2 outgrows the tail: no S <= _ORTH_MAX_S = 400 reaches 1e-8
+        p = ModelParams(2.0, (0.3, 0.6))
+        with pytest.raises(TailTooLarge, match="no S <= 400"):
+            orthogonality_check(p, solve(p), 4, 20)
 
-    # the desk config's verify search (start=S=30, max_deg 3) and its n=3 variant
+    # the desk config's verify search (first S 30, max_deg 3) and its n=3 variant
     @pytest.mark.parametrize("c", [(0.2, 0.3), (0.1, 0.15, 0.2)])
     def test_choose_S_matches_full_tables(self, c, monkeypatch):
         p = ModelParams(1.5, c)
         sd = solve(p)
         tail_eps = 1e-8
 
-        def reference_S(start=30, step=10, max_S=400):
+        def reference(start=30, step=10, max_S=400):
             for S in range(start, max_S + 1, step):
-                max_p = float(np.abs(poly_table(p, sd, 3, S).values).max())
-                if bdprocess.tail_bound(p, S) * max_p**2 <= tail_eps:
-                    return S
+                table = poly_table(p, sd, 3, S)
+                tail_term = bdprocess.tail_bound(p, S) * float(np.abs(table.values).max()) ** 2
+                if tail_term <= tail_eps:
+                    return S, tail_term, table
             raise TailTooLarge("no S")
 
-        expected = reference_S()
+        S, tail_term, table = reference()
         evaluated = []
         real = bdprocess._table_values
 
@@ -130,9 +130,15 @@ class TestOrthogonality:
             return real(p_, sd_, m_list, X, *args)
 
         monkeypatch.setattr(bdprocess, "_table_values", counting)
-        assert choose_orthogonality_S(p, sd, 3, tail_eps, start=30) == expected
+        rep = orthogonality_check(p, sd, 3, 30, tail_eps)
+        assert (rep.S, rep.tail_term) == (S, tail_term)
         # each point of |x| <= S is evaluated once, and no table is rebuilt
-        assert sorted(evaluated) == sorted(enumerate_lattice(p.n, expected))
+        assert sorted(evaluated) == sorted(enumerate_lattice(p.n, S))
+        # the shell sums give the whole-lattice Gram to rounding
+        P = table.values
+        whole = (P * weight_vector(p, enumerate_lattice(p.n, S))) @ P.T
+        assert np.abs(rep.gram - whole).max() <= 1e-14 * np.abs(whole).max()
+        assert choose_orthogonality_S(p, sd, 3, tail_eps, start=30) == S
 
     def test_corrupted_u_detected(self):
         # a 1e-3 perturbation of one u entry must break orthogonality visibly
@@ -142,7 +148,7 @@ class TestOrthogonality:
         bad = SpectralData(
             lam=sd.lam, u=tuple(tuple(r) for r in u), cbar=sd.cbar, residuals={}
         )
-        S = choose_orthogonality_S(p, sd, 2, 1e-8)
+        S = orthogonality_check(p, sd, 2, 20).S
         rep = orthogonality_check(p, bad, 2, S)
         assert rep.max_offdiag > 1e-6
 
@@ -164,6 +170,26 @@ class TestMoments:
         with pytest.raises(TailTooLarge):
             moment_check(p)
         assert moment_check(p, S=100)["S"] == 100.0
+
+    @pytest.mark.parametrize("beta,c,S", [(1.5, (0.2, 0.3), 25), (0.7, (0.1, 0.15, 0.2), 12)])
+    def test_shell_sums_match_whole_lattice(self, beta, c, S):
+        # the residuals against a whole-lattice sum; the shell sums add the
+        # same terms in another order, so they agree to rounding
+        p = ModelParams(beta, c)
+        lat = enumerate_lattice(p.n, S)
+        w = weight_vector(p, lat)
+        X = np.array(lat, dtype=float)
+        cv = np.asarray(c)
+        mean_exact = cv * beta / (1.0 - p.c_mass)
+        second_exact = beta * (beta + 1.0) * np.outer(cv, cv) / (1.0 - p.c_mass) ** 2 + np.diag(
+            beta * cv / (1.0 - p.c_mass)
+        )
+        res = moment_check(p, S=S)
+        mean = np.abs(w @ X - mean_exact).max()
+        second = np.abs((X.T * w) @ X - second_exact).max()
+        assert res["mean"] > 1e-7 and res["second"] > 1e-7  # S leaves a tail
+        assert abs(res["mean"] - mean) <= 1e-14 * (1.0 + mean_exact.max())
+        assert abs(res["second"] - second) <= 1e-14 * (1.0 + second_exact.max())
 
     def test_mean_value_directly(self):
         p, _ = instance(2, 1.5)
@@ -355,8 +381,8 @@ class TestKernelViews:
 
         assert abs(ck["start_column_defect"] - abs(1.0 - Tp[:, iy].sum())) <= 1e-14
 
-        col, lat = _spectral_column(p, sd, y, tp, M, S)
-        S_col = sum(lat[-1])
+        col, X = _spectral_column(p, sd, y, tp, M, S)
+        S_col = int(X[-1].sum())
         dense = transition_matrix(p, sd, tp, M, S_col)[:, lattice_index(p.n, S_col)[y]]
         assert np.abs(col - dense).max() <= 1e-14
 
@@ -374,10 +400,12 @@ class TestKernelViews:
 
         monkeypatch.setattr(polynomials, "_table_values", counting)
         monkeypatch.setattr(bdprocess, "_table_values", counting)
-        col, lat = _spectral_column(p, sd, x0, t, M, S)
+        col, X = _spectral_column(p, sd, x0, t, M, S)
         monkeypatch.undo()
-        assert sum(lat[-1]) > S + 10
-        kernel = _SpectralKernel(p, sd, M, np.array(lat, dtype=int))
+        lat = enumerate_lattice(p.n, int(X[-1].sum()))
+        assert len(lat) > len(enumerate_lattice(p.n, S + 10))
+        assert np.array_equal(X, np.array(lat))
+        kernel = _SpectralKernel(p, sd, M, X)
         assert np.array_equal(col, kernel.column(lat.index(x0), t))
         assert sorted(evaluated) == sorted(lat)
 

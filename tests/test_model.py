@@ -12,7 +12,9 @@ from mvmeixner.model import (
     ModelParams,
     compositions,
     enumerate_lattice,
+    lattice_points,
     lattice_rank,
+    lattice_unrank,
     log_weight,
     shifted_factorial,
     tail_bound,
@@ -130,9 +132,26 @@ class TestLatticeRank:
         X = np.fromiter(chain.from_iterable(lattice), dtype=np.int64).reshape(-1, n)
         assert len(X) == math.comb(S + n, n)
         assert np.array_equal(lattice_rank(X), np.arange(len(X)))
+        assert np.array_equal(lattice_unrank(np.arange(len(X)), n), X)
 
     def test_empty(self):
         assert len(lattice_rank(np.zeros((0, 3), dtype=int))) == 0
+        assert lattice_unrank(np.zeros(0, dtype=int), 3).shape == (0, 3)
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        shell=st.integers(0, 12),
+        rows=st.lists(
+            st.lists(st.integers(0, 30), min_size=5, max_size=5), min_size=1, max_size=20
+        ),
+    )
+    def test_unrank_inverts_rank(self, n, shell, rows):
+        X = np.array(rows, dtype=np.int64)[:, :n]
+        assert np.array_equal(lattice_unrank(lattice_rank(X), n), X)
+        # a shell in closed form is the tuple enumeration of that shell
+        expected = np.array(compositions(shell, n), dtype=np.int64).reshape(-1, n)
+        assert np.array_equal(lattice_points(n, shell, shell), expected)
 
     def test_negative_entry_rejected(self):
         # a negative entry would index the rank table from its end

@@ -17,11 +17,12 @@ from mvmeixner.model import (
     weight_vector,
 )
 from mvmeixner.operators import (
+    _couplings,
+    _dense,
     _htilde_at,
     birth_rate,
     build_A,
     build_H,
-    build_LBD,
     death_rate,
     eigen_check,
     genfun_identity_richardson,
@@ -30,6 +31,15 @@ from mvmeixner.operators import (
 )
 from mvmeixner.polynomials import poly_values
 from mvmeixner.spectral import solve
+
+
+def build_LBD(p, S):
+    """Generator acting on distributions, as a dense N x N array,
+    N = C(S+n, n): (L P)(x) = -sum_j (B_j + D_j)(x) P(x)
+    + sum_j B_j(x-e_j) P(x-e_j) + sum_j D_j(x+e_j) P(x+e_j), soft-truncated;
+    written from the package's coupling list, as build_H writes H."""
+    k = _couplings(p, S)
+    return _dense(-k.out_rate, (k.b, k.a, k.birth[k.a]), (k.a, k.b, k.death[k.b, k.j]))
 
 
 def poly_lattice_function(p, sd, m, S):

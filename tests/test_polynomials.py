@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_instances, instance, meixner_1d, series_coefficient
-from mvmeixner.errors import DegreeCapExceeded
+from conftest import DegreeCapExceeded, all_instances, instance, meixner_1d, series_coefficient
 from mvmeixner.model import (
     ModelParams,
     compositions_upto,
