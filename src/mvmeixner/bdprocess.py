@@ -8,22 +8,25 @@ cross-validates the whole construction.  Every spectral sum over the P table
 is read from one `_SpectralKernel`, built on the int array of points a
 caller needs: x and y for `transition_prob`, the lattice |x| <= S for
 `transition_matrix`, Chapman-Kolmogorov and the simulator's spectral column.
-The W-weighted lattice sums, the orthogonality Gram and the moments, are
-summed one shell |x| = s at a time, so no table of the whole lattice is
-formed.  Every lattice and shell is built in closed form by
-`model.lattice_points`.
+Its table, like each shell's in the orthogonality check, is the product
+P = C V of `polynomials._product_table`.  The W-weighted lattice sums, the
+orthogonality Gram and the moments, are summed one shell |x| = s at a time,
+so no table of the whole lattice is formed.  Every lattice and shell is
+built in closed form by `model.lattice_points`.
 
 The simulator is Gillespie's direct method run in lock-step over batches of
 trajectories: each numpy step advances every live trajectory by one event and
 drops those whose next jump lies beyond t.  Trajectory i reads the stream of
-Generator(Philox(key=[seed, i])).random(), computed here as Philox4x64-10
-blocks in numpy (one block of four words serves two events), and every float
-operation is the one-trajectory loop's, in the same order.  The exponential
-waits take math.log1p per element: numpy's vectorised log1p is not correctly
-rounded on every build (on an AVX-512 build it differs in the last bit on
-about 7% of draws), and a one-ulp longer wait drops a jump that lands within
-ulps of t.  So the counts do not depend on the batch size or on the numpy
-build's log1p, and match the one-trajectory loop the tests keep as oracle.
+Generator(Philox(key=np.array([seed, i], dtype=np.uint64))).random(),
+computed here as Philox4x64-10 blocks in numpy (one block of four words
+serves two events), and every float operation is the one-trajectory loop's,
+in the same order.  The exponential waits take math.log1p per element:
+numpy's vectorised log1p is not correctly rounded on every build (on an
+AVX-512 build it differs in the last bit on about 7% of draws), and a
+one-ulp longer wait drops a jump that lands within ulps of t.  So the counts
+do not depend on the batch size or on the numpy build's log1p, and match the
+one-trajectory loop the tests keep as oracle.  Each batch's final states are
+tallied by their `lattice_rank`, not as tuples.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .model import (
     weight,
     weight_vector,
 )
-from .polynomials import _table_values
+from .polynomials import _product_table
 from .spectral import SpectralData
 
 # Simulator limits and comparison hygiene.
@@ -57,7 +60,7 @@ RNG_NAME = "philox"
 # Truncation searches: the S step and cap of orthogonality_check, the
 # bound on the omitted second moment and the S cap of moment_check, the shell
 # bound and M cap of choose_spectral_cutoff, and the mass defect at which
-# _spectral_column stops growing S.
+# _spectral_column stops growing S and its S cap.
 _ORTH_S_STEP = 10
 _ORTH_MAX_S = 400
 _MOMENT_TAIL_EPS = 1e-13
@@ -65,6 +68,12 @@ _MOMENT_MAX_S = 400
 _SPECTRAL_CUTOFF_EPS = 1e-10
 _MAX_SPECTRAL_M = 200
 _COLUMN_MASS_TOL = 1e-8
+_COLUMN_MAX_S = 120
+
+# Points of a shell that orthogonality_check evaluates at once: its arrays
+# then stay small enough to be reused from the heap rather than mapped afresh
+# for every shell (at n=4 the shell |x| = 90 has 129k points, 36 MB a table)
+_ORTH_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +124,11 @@ def orthogonality_check(
     then stays below the requested resolution.  TailTooLarge if no
     S' <= _ORTH_MAX_S reaches it.
 
-    The lattice is walked one shell |x| = s at a time: each shell's P is
-    evaluated once, added into the Gram as (P W) P^T and into the running
-    max|P|, and dropped.  The table evaluator works point by point, so every
-    value is the one a full table would hold.
+    The lattice is walked one shell |x| = s at a time, in chunks of at most
+    _ORTH_CHUNK points: each chunk's P is evaluated once, added into the
+    Gram as (P W) P^T and into the running max|P|, and dropped.  The product
+    table (_product_table) works point by point, so every value is the one a
+    full table would hold.
     """
     m_list = compositions_upto(max_deg, p.n)
     gram = np.zeros((len(m_list), len(m_list)))
@@ -126,11 +136,13 @@ def orthogonality_check(
     done = -1  # shells |x| <= done are already summed
     while S <= _ORTH_MAX_S:
         for s in range(done + 1, S + 1):
-            X = lattice_points(p.n, s, s)
-            values = _table_values(p, sd, m_list, X)
-            gram += (values * weight_vector(p, X)) @ values.T
-            # np.maximum, unlike max(), keeps a NaN
-            max_p = float(np.maximum(max_p, np.abs(values).max()))
+            shell = lattice_points(p.n, s, s)
+            for start in range(0, len(shell), _ORTH_CHUNK):
+                X = shell[start:start + _ORTH_CHUNK]
+                values = _product_table(p, sd, max_deg, X)
+                gram += (values * weight_vector(p, X)) @ values.T
+                # np.max, unlike max(), keeps a NaN
+                max_p = float(np.max([max_p, values.max(), -values.min()]))
         done = S
         tail_term = tail_bound(p, S) * max_p**2
         if tail_term <= tail_eps:
@@ -302,16 +314,18 @@ class _SpectralKernel:
     on the points of the int array X (shape (N, n)), with the P table, W,
     Wbar and E computed once; x and y are given as positions into X.
 
-    A row or a column costs O(#m * N); only `matrix` builds the dense
-    N x N kernel.  `extend` appends points, evaluating only those.  The
-    orthogonality Gram is not formed here: orthogonality_check sums it shell
-    by shell.
+    The P table is the product P = C V of _product_table, whose every value
+    is independent of the other points, so `extend`, which appends points
+    and evaluates only those, grows the table that a build on all the points
+    gives, bit for bit.  A row or a column costs O(#m * N); only `matrix`
+    builds the dense N x N kernel.  The orthogonality Gram is not formed
+    here: orthogonality_check sums it shell by shell.
     """
 
     def __init__(self, p: ModelParams, sd: SpectralData, M: int, X: np.ndarray):
-        self.p, self.sd = p, sd
+        self.p, self.sd, self.M = p, sd, M
         self.m_list = compositions_upto(M, p.n)
-        self.P = _table_values(p, sd, self.m_list, X)
+        self.P = _product_table(p, sd, M, X)
         self.w = weight_vector(p, X)
         self.wbar = np.array([wbar(p, sd, m) for m in self.m_list])
         self.energy = np.array([sd.energy(m) for m in self.m_list])
@@ -324,7 +338,7 @@ class _SpectralKernel:
         P[:, :N] = self.P
         # the old table is dropped before the new points are evaluated
         self.P = P
-        _table_values(self.p, self.sd, self.m_list, X_new, P[:, N:])
+        _product_table(self.p, self.sd, self.M, X_new, P[:, N:])
         self.w = np.concatenate((self.w, weight_vector(self.p, X_new)))
 
     def decay(self, t: float) -> np.ndarray:
@@ -418,8 +432,9 @@ class SimulationResult:
 # Philox4x64-10 (Salmon et al. 2011, Random123): round multipliers and the
 # Weyl increments of the key
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 # Trajectories advanced together; bounds the working set (a single 200k batch
 # doubled the simulate peak RSS) while keeping the per-step overhead small
@@ -427,14 +442,25 @@ _SIM_BATCH = 16_384
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit product m * x, from 32-bit halves."""
-    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x0, x1 = x & _LOW32, x >> np.uint64(32)
-    p01 = m0 * x1
-    p10 = m1 * x0
-    mid = ((m0 * x0) >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
-    hi = m1 * x1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32))
-    return hi + (mid >> np.uint64(32)), np.uint64(m) * x
+    """High and low words of the 128-bit product m * x, from 32-bit halves:
+    hi = x_hi m_hi + (x_hi m_lo >> 32) + (mid >> 32) with
+    mid = (x_lo m_lo >> 32) + (x_hi m_lo & mask) + x_lo m_hi, a sum that
+    cannot exceed 2^64 - 1.  Each step after the first products is in place."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo = x & _LOW32
+    hi = x >> _SHIFT32
+    mid = x_lo * m_lo
+    mid >>= _SHIFT32
+    cross = hi * m_lo
+    x_lo *= m_hi
+    mid += x_lo
+    mid += np.bitwise_and(cross, _LOW32, out=x_lo)
+    mid >>= _SHIFT32
+    cross >>= _SHIFT32
+    hi *= m_hi
+    hi += cross
+    hi += mid
+    return hi, x * np.uint64(m)
 
 
 def _philox_block(counter: int, seed: int, ids: np.ndarray) -> np.ndarray:
@@ -442,18 +468,27 @@ def _philox_block(counter: int, seed: int, ids: np.ndarray) -> np.ndarray:
     for i in ids, shape (4, len(ids)).
 
     numpy's Philox raises its counter before each block, so the stream of
-    Generator(Philox(key=[seed, i])) is the words of counters 1, 2, ...
+    Generator(Philox(key=np.array([seed, i], dtype=np.uint64))) is the words
+    of counters 1, 2, ...  The counter and key word 0 are common to every
+    trajectory, so a word stays a Python int mod 2^64 (a uint64 scalar add
+    warns when it wraps) until the key word i reaches it: c0, c1 and c3
+    through round 0, c3 through round 1.
     """
-    zero = np.zeros(len(ids), dtype=np.uint64)
-    c0, c1, c2, c3 = zero + np.uint64(counter), zero, zero, zero
-    k0, k1 = zero + np.uint64(seed), ids
-    for r in range(10):
-        if r:
-            k0 = k0 + _PHILOX_W[0]
-            k1 = k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    (M0, M1), (W0, W1) = _PHILOX_M, _PHILOX_W
+    k0, k1 = int(seed), ids.copy()
+    # round 0: c2 = 0 leaves hi1 = lo1 = 0
+    hi0, lo0 = divmod(M0 * counter, 2**64)
+    c0, c1, c2, c3 = k0, 0, ids ^ np.uint64(hi0), lo0
+    for r in range(1, 10):
+        k0 = (k0 + W0) % 2**64
+        k1 += np.uint64(W1)
+        hi0, lo0 = divmod(M0 * c0, 2**64) if r == 1 else _mulhilo(M0, c0)
+        hi1, lo1 = _mulhilo(M1, c2)
+        hi1 ^= c1
+        hi1 ^= np.uint64(k0)
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
     return np.stack((c0, c1, c2, c3))
 
 
@@ -477,7 +512,7 @@ def _simulate_batch(
     2k mod 4 and 2k mod 4 + 1 of its block k//2 + 1, and drops the
     trajectories whose next jump lies beyond t_end.  Every float operation is
     the one-trajectory loop's, in its order, so the states are bit-for-bit
-    those of Generator(Philox(key=[seed, i])) driving that loop.
+    those of that loop driven by trajectory i's Philox stream.
     """
     n, c, beta = p.n, p.c, p.beta
     final = np.tile(np.array(x0, dtype=np.int64), (len(ids), 1))
@@ -489,8 +524,11 @@ def _simulate_batch(
         if not len(rows):
             return final, 0
         if k % 2 == 0:
-            u = _uniforms(_philox_block(k // 2 + 1, seed, ids[rows]))
-        u_wait, u_pick = u[2 * (k % 2)], u[2 * (k % 2) + 1]
+            u_wait, u_pick, u_next_wait, u_next_pick = _uniforms(
+                _philox_block(k // 2 + 1, seed, ids[rows])
+            )
+        else:
+            u_wait, u_pick = u_next_wait, u_next_pick
         per_birth = beta + sx
         total = n * per_birth
         for j in range(n):
@@ -504,8 +542,11 @@ def _simulate_batch(
         if over.any():
             final[rows[over]] = X[over]
             keep = ~over
-            rows, X, sx, t, u = rows[keep], X[keep], sx[keep], t[keep], u[:, keep]
+            rows, X, sx, t = rows[keep], X[keep], sx[keep], t[keep]
             per_birth, total, u_pick = per_birth[keep], total[keep], u_pick[keep]
+            # after an odd step no word of the block is read again
+            if k % 2 == 0:
+                u_next_wait, u_next_pick = u_next_wait[keep], u_next_pick[keep]
         pick = u_pick * total
         births = n * per_birth
         birth = pick < births
@@ -513,20 +554,33 @@ def _simulate_batch(
         j_birth = np.minimum((pick[b] / per_birth[b]).astype(np.int64), n - 1)
         X[b, j_birth] += 1
         # a death removes from the first j whose running sum of x_j/c_j,
-        # over the nonzero x_j in order, exceeds the pick (else the last one)
+        # over the nonzero x_j in order, exceeds the pick (else the last one);
+        # subtracting 0.0 where x_j = 0 leaves the running sum as it is
         d = np.flatnonzero(~birth)
+        Xd = X[d]
         rest = pick[d] - births[d]
         target = np.zeros(len(d), dtype=np.int64)
         open_ = np.ones(len(d), dtype=bool)
         for j in range(n):
-            hit = open_ & (X[d, j] != 0)
+            hit = open_ & (Xd[:, j] != 0)
             target[hit] = j
-            rest[hit] -= X[d[hit], j] / c[j]
+            rest -= np.where(hit, Xd[:, j] / c[j], 0.0)
             open_ &= ~(hit & (rest < 0.0))
         X[d, target] -= 1
         sx += np.where(birth, 1, -1)
     final[rows] = X
     return final, len(rows)
+
+
+def _tally(final: np.ndarray) -> dict[MultiIndex, int]:
+    """The distinct rows of final (shape (N, n)) with their counts.  Rows are
+    told apart by their lattice_rank, an int64 below C(|x| + n, n); beyond
+    that range they are counted as tuples."""
+    n = final.shape[1]
+    if math.comb(int(final.sum(axis=1).max(initial=0)) + n, n) > np.iinfo(np.int64).max:
+        return Counter(map(tuple, final.tolist()))
+    _, first, counts = np.unique(lattice_rank(final), return_index=True, return_counts=True)
+    return dict(zip(map(tuple, final[first].tolist()), counts.tolist()))
 
 
 def simulate(
@@ -539,10 +593,11 @@ def simulate(
     """n_traj independent exact-jump trajectories of the chain with rates
     B_j = beta+|x|, D_j = x_j/c_j, each run to time t.
 
-    Trajectory i draws from Philox keyed by (seed, i), so results do not
-    depend on execution order or batching; trajectories hitting the event
-    cap MAX_EVENTS_PER_TRAJECTORY are counted in cap_hits and contribute
-    their state at the cap.  ParameterError unless 0 <= seed < 2**64.
+    Trajectory i draws from Philox4x64-10 keyed by the uint64 pair
+    (seed, i), so results do not depend on execution order or batching;
+    trajectories hitting the event cap MAX_EVENTS_PER_TRAJECTORY are counted
+    in cap_hits and contribute their state at the cap.  ParameterError
+    unless 0 <= seed < 2**64.
     """
     if t < 0:
         raise NegativeTime(f"t must be >= 0, got {t}")
@@ -555,7 +610,7 @@ def simulate(
         final, capped = _simulate_batch(
             p, x0, t, seed, ids, MAX_EVENTS_PER_TRAJECTORY
         )
-        counts.update(map(tuple, final.tolist()))
+        counts.update(_tally(final))
         cap_hits += capped
     return SimulationResult(
         x0=tuple(x0), t=t, seed=seed, n_traj=n_traj, counts=counts, cap_hits=cap_hits
@@ -657,7 +712,7 @@ def _spectral_column(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distribution T(., x0; t) over {|x| <= S} and those points as an int
     array, growing S by 10 until the column sums to 1 within
-    _COLUMN_MASS_TOL or S reaches 120.
+    _COLUMN_MASS_TOL; TailTooLarge if no S <= _COLUMN_MAX_S does.
 
     The sum over the whole lattice is exactly 1 for every M (orthogonality
     to P_0), so the mass test closes only the escape from |x| <= S; it is
@@ -668,7 +723,13 @@ def _spectral_column(
     kernel = _SpectralKernel(p, sd, M, lattice_points(p.n, 0, S))
     while True:
         col = kernel.column(j, t)
-        if abs(1.0 - float(col.sum())) <= _COLUMN_MASS_TOL or S >= 120:
+        defect = abs(1.0 - float(col.sum()))
+        if defect <= _COLUMN_MASS_TOL:
             return col, lattice_points(p.n, 0, S)
+        if S >= _COLUMN_MAX_S:
+            raise TailTooLarge(
+                f"spectral column mass defect {defect:.3e} > {_COLUMN_MASS_TOL:.0e} "
+                f"at S={S}; no S <= {_COLUMN_MAX_S} reaches it"
+            )
         kernel.extend(lattice_points(p.n, S + 1, S + 10))
         S += 10

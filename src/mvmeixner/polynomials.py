@@ -13,7 +13,9 @@ bucket with fsum, and caches it.  A single point (`meixner_eval`) reads the
 r <= x of its m's list in Python floats and sums them with fsum; a table
 (`_table_values`, behind `poly_table` and `poly_values`) is built one r at
 a time over every m whose list holds r, on blocks of points, and each of
-its values is the one a loop over its own m's list gives.
+its values is the one a loop over its own m's list gives.  The spectral
+kernel's table (`_product_table`) is the same sum as one product P = C V of
+the lists and V[r, x] = prod_i (-x_i)_{r_i}, equal to it to rounding.
 
 Route 2 (`genfun_all`): expansion of the generating function
 
@@ -164,8 +166,9 @@ def pochhammer_table(kmax: int, vmax: int) -> np.ndarray:
 _Group = tuple[tuple[tuple[int, int], ...], slice | np.ndarray, np.ndarray]
 
 # Bytes of the arrays _sum_terms works on for one block of points (its sums,
-# one term block and the gathered (-x_i)_k rows); a table is built block by
-# block so that its temporaries stay this small however many points it has.
+# one term block and the gathered (-x_i)_k rows), and of V in _product_table;
+# a table is built block by block so that its temporaries stay this small
+# however many points it has.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -256,6 +259,54 @@ def _sum_terms(
                 term *= gathered[i][k]
         acc[rows] += term
     return acc
+
+
+def _product_table(
+    p: ModelParams,
+    sd: SpectralData,
+    max_deg: int,
+    X: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """P_m at every row of X (shape (npoints, n)) for every m of
+    compositions_upto(max_deg, n) as one product P = C V, with C[m, r] the
+    coeff_r of m's list and V[r, x] = prod_i (-x_i)_{r_i}; written into
+    `out` if given.
+
+    C is held as one block per degree |m| = d, over the r with |r| <= d (a
+    graded-lex prefix), so it takes no more room than the lists.  A value
+    multiplies coeff_r by the whole product V[r, x] rather than factor by
+    factor, so it agrees with _table_values to rounding, not bit for bit.
+    Each block of points has one fixed width, the last one padded with its
+    last point: einsum then sees the same shapes in every call and, unlike a
+    BLAS product, gives a column the same bits whatever the other columns
+    hold, so no value depends on the other points or on the blocking.
+    """
+    n, m_list, u = p.n, compositions_upto(max_deg, p.n), _u_columns(sd)
+    blocks = []
+    for d in range(max_deg + 1):
+        first, last = math.comb(d - 1 + n, n) if d else 0, math.comb(d + n, n)
+        C = np.zeros((last - first, last))
+        for row, m in enumerate(m_list[first:last]):
+            rank, coeff = _row_sum_coeffs(p.beta, u, m)
+            C[row, rank] = coeff
+        blocks.append((slice(first, last), C))
+    if out is None:
+        out = np.empty((len(m_list), len(X)))
+    R = _composition_array(max_deg, n)
+    T = pochhammer_table(max_deg, int(X.max(initial=0)))
+    width = min(1024, max(16, _BLOCK_BYTES // (8 * len(m_list))))
+    block = np.empty((len(m_list), width))
+    for start in range(0, len(X), width):
+        # clipped indices repeat the last point in the last block
+        Xb = X.take(np.arange(start, start + width), axis=0, mode="clip")
+        V = T.take(Xb[:, 0], axis=1).take(R[:, 0], axis=0)
+        for i in range(1, n):
+            V *= T.take(Xb[:, i], axis=1).take(R[:, i], axis=0)
+        for rows, C in blocks:
+            np.einsum("mr,rx->mx", C, V[:C.shape[1]], out=block[rows])
+        out[:, start:start + width] = block[:, :len(X) - start]
+    return out
 
 
 def poly_values(

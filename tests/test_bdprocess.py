@@ -123,13 +123,13 @@ class TestOrthogonality:
 
         S, tail_term, table = reference()
         evaluated = []
-        real = bdprocess._table_values
+        real = bdprocess._product_table
 
-        def counting(p_, sd_, m_list, X, *args):
+        def counting(p_, sd_, max_deg, X, *args):
             evaluated.extend(map(tuple, X.tolist()))
-            return real(p_, sd_, m_list, X, *args)
+            return real(p_, sd_, max_deg, X, *args)
 
-        monkeypatch.setattr(bdprocess, "_table_values", counting)
+        monkeypatch.setattr(bdprocess, "_product_table", counting)
         rep = orthogonality_check(p, sd, 3, 30, tail_eps)
         assert (rep.S, rep.tail_term) == (S, tail_term)
         # each point of |x| <= S is evaluated once, and no table is rebuilt
@@ -139,6 +139,26 @@ class TestOrthogonality:
         whole = (P * weight_vector(p, enumerate_lattice(p.n, S))) @ P.T
         assert np.abs(rep.gram - whole).max() <= 1e-14 * np.abs(whole).max()
         assert choose_orthogonality_S(p, sd, 3, tail_eps, start=30) == S
+
+    def test_shells_in_chunks(self, monkeypatch):
+        # chunks of 7 points cut every shell past |x| = 6 of the desk config;
+        # the report is the unchunked one up to the order of the Gram's sums
+        p = ModelParams(1.5, (0.2, 0.3))
+        sd = solve(p)
+        whole = orthogonality_check(p, sd, 3, 30)
+        sizes = []
+        real = bdprocess._product_table
+
+        def counting(p_, sd_, max_deg, X, *args):
+            sizes.append(len(X))
+            return real(p_, sd_, max_deg, X, *args)
+
+        monkeypatch.setattr(bdprocess, "_ORTH_CHUNK", 7)
+        monkeypatch.setattr(bdprocess, "_product_table", counting)
+        rep = orthogonality_check(p, sd, 3, 30)
+        assert max(sizes) == 7 and sum(sizes) == len(enumerate_lattice(p.n, rep.S))
+        assert (rep.S, rep.tail_term) == (whole.S, whole.tail_term)
+        assert np.abs(rep.gram - whole.gram).max() <= 1e-14 * np.abs(whole.gram).max()
 
     def test_corrupted_u_detected(self):
         # a 1e-3 perturbation of one u entry must break orthogonality visibly
@@ -392,14 +412,14 @@ class TestKernelViews:
         p, sd = instance(2, 1.5)
         x0, t, M, S = (0, 0), 1.0, 8, 4
         evaluated = []
-        real = polynomials._table_values
+        real = polynomials._product_table
 
-        def counting(p_, sd_, m_list, X, *args):
+        def counting(p_, sd_, max_deg, X, *args):
             evaluated.extend(map(tuple, X.tolist()))
-            return real(p_, sd_, m_list, X, *args)
+            return real(p_, sd_, max_deg, X, *args)
 
-        monkeypatch.setattr(polynomials, "_table_values", counting)
-        monkeypatch.setattr(bdprocess, "_table_values", counting)
+        monkeypatch.setattr(polynomials, "_product_table", counting)
+        monkeypatch.setattr(bdprocess, "_product_table", counting)
         col, X = _spectral_column(p, sd, x0, t, M, S)
         monkeypatch.undo()
         lat = enumerate_lattice(p.n, int(X[-1].sum()))
@@ -409,15 +429,22 @@ class TestKernelViews:
         assert np.array_equal(col, kernel.column(lat.index(x0), t))
         assert sorted(evaluated) == sorted(lat)
 
+    def test_spectral_column_cap_raises(self):
+        # at |c| = 0.9, beta = 5 the column still misses 4.0e-5 of its mass
+        # at the cap S = 120
+        p = ModelParams(5.0, (0.9,))
+        with pytest.raises(TailTooLarge, match=r"defect 3\.968e-05 > 1e-08 at S=120"):
+            _spectral_column(p, solve(p), (0,), 5.0, 15, 20)
+
     def test_chapman_kolmogorov_builds_one_table(self, monkeypatch):
         calls = []
-        real = bdprocess._table_values
+        real = bdprocess._product_table
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(bdprocess, "_table_values", counting)
+        monkeypatch.setattr(bdprocess, "_product_table", counting)
         p, sd = instance(2, 1.5)
         chapman_kolmogorov_check(p, sd, (1, 0), (0, 1), 0.3, 0.3, 25, 12)
         assert len(calls) == 1
@@ -543,12 +570,23 @@ class TestSimulatorOracle:
             (1.5, (0.2, 0.3), (1, 1), 0.0),
             (0.7, (0.1, 0.15, 0.2), (0, 0, 0), 0.5),
             (3.0, (0.1, 0.15, 0.2), (1, 0, 2), 2.5),
+            (1.5, (0.05, 0.1, 0.15, 0.2), (0, 1, 0, 2), 1.5),
         ],
     )
     def test_matches_oracle(self, beta, c, x0, t, seed):
         p = ModelParams(beta, c)
         sim = simulate(p, x0, t, seed, 400)
         assert (sim.counts, sim.cap_hits) == oracle_simulate(p, x0, t, seed, 400)
+
+    def test_states_past_the_int64_rank(self):
+        # at n=20 and |x| = 100 the lattice rank exceeds int64, so the
+        # states are tallied as tuples
+        p = ModelParams(1.5, (0.04,) * 20)
+        x0 = (5,) * 20
+        assert math.comb(sum(x0) + 20, 20) > np.iinfo(np.int64).max
+        sim = simulate(p, x0, 0.002, 9, 60)
+        assert len(sim.counts) > 1
+        assert (sim.counts, sim.cap_hits) == oracle_simulate(p, x0, 0.002, 9, 60)
 
     @pytest.mark.parametrize("n_traj", [0, 1, bdprocess._SIM_BATCH + 1])
     def test_batch_edges(self, n_traj):
@@ -584,18 +622,35 @@ class TestSimulatorOracle:
             p, (0, 0), 1.0, 11, 300, max_events=3
         )
 
-    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_cap_hits_at_n4(self, monkeypatch):
+        # some trajectories finish before the cap, so capped and finished
+        # states are tallied together
+        monkeypatch.setattr(bdprocess, "MAX_EVENTS_PER_TRAJECTORY", 6)
+        p = ModelParams(1.5, (0.05, 0.1, 0.15, 0.2))
+        sim = simulate(p, (1, 0, 2, 0), 0.2, 3, 400)
+        assert 100 < sim.cap_hits < 300
+        assert (sim.counts, sim.cap_hits) == oracle_simulate(
+            p, (1, 0, 2, 0), 0.2, 3, 400, max_events=6
+        )
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**63 + 5, 2**64 - 1])
     def test_philox_words(self, seed):
         ids = np.array([0, 1, 7, 2**32 + 5, 2**63 + 3, 2**64 - 1], dtype=np.uint64)
         words = np.concatenate(
             [bdprocess._philox_block(counter, seed, ids) for counter in (1, 2)]
         )
+        later = {counter: bdprocess._philox_block(counter, seed, ids) for counter in (9, 500, 2**40)}
         for col, i in enumerate(ids):
             # an explicit uint64 key: numpy converts a list mixing values
             # above 2**63 with small ones through float64
             key = np.array([seed, i], dtype=np.uint64)
             expected = np.random.Generator(np.random.Philox(key=key)).random(8)
             assert np.array_equal(bdprocess._uniforms(words[:, col]), expected)
+            # numpy raises its counter before each block
+            for counter, block in later.items():
+                start = np.array([counter - 1, 0, 0, 0], dtype=np.uint64)
+                raw = np.random.Philox(key=key, counter=start).random_raw(4)
+                assert np.array_equal(block[:, col], raw)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range(self, seed):

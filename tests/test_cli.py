@@ -298,6 +298,15 @@ class TestSimulateCommand:
         counts = sum(int(l.split(",")[1]) for l in lines[1:-1])
         assert counts == 2000
 
+    def test_spectral_column_cap_fails(self, tmp_path, capsys):
+        # the spectral column misses its mass tolerance at the S cap: a
+        # verification failure, with no CSV written
+        cfg = write_config(tmp_path, beta=5.0, c=[0.9], limits={"M": 15},
+                           sim={"seed": 42, "n_traj": 300, "t": 5.0})
+        assert main(["simulate", cfg]) == EXIT_VERIFY_FAILED
+        assert "at S=120" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sim_vs_spectral.csv").exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_is_invalid(self, tmp_path, capsys, seed):
         cfg = write_config(tmp_path, beta=1.0, c=[0.5])

@@ -1,24 +1,32 @@
+import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import unittest.mock
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DegreeCapExceeded, all_instances, instance, meixner_1d, series_coefficient
+import mvmeixner
 from mvmeixner.model import (
     ModelParams,
     compositions_upto,
     enumerate_lattice,
+    lattice_points,
     shifted_factorial,
 )
 from mvmeixner import polynomials
 from mvmeixner.polynomials import (
     PolyTable,
     TruncatedSeries,
+    _product_table,
     _row_sum_coeffs,
     _table_values,
     _u_columns,
@@ -303,6 +311,87 @@ class TestTableEvaluator:
         want = np.array([_oracle_poly_values(p, sd, m, X) for m in m_list])
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# P = C V at n=4, M=8 on |x| <= 12, hashed in a fresh interpreter
+_PRODUCT_HASH = """
+import hashlib
+from mvmeixner.model import ModelParams, lattice_points
+from mvmeixner.polynomials import _product_table
+from mvmeixner.spectral import solve
+p = ModelParams(1.5, (0.05, 0.1, 0.15, 0.2))
+P = _product_table(p, solve(p), 8, lattice_points(4, 0, 12))
+print(hashlib.sha256(P.tobytes()).hexdigest())
+"""
+
+
+class TestProductTable:
+    """The kernel's table P = C V against the per-r table evaluator, to
+    rounding, and against itself on any blocking of the points, bit for
+    bit."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_within_rounding_of_table_values(self, data):
+        # one parameter set per n keeps every coefficient list of |m| <= 8
+        # in the cache
+        n = data.draw(st.integers(1, 4), label="n")
+        p, sd = _table_sets(n)[0]
+        # the top degree first: the draws start from it
+        max_deg = data.draw(st.sampled_from(range(8, -1, -1)), label="max_deg")
+        point = st.tuples(*[st.integers(0, 30)] * n).filter(lambda x: sum(x) <= 30)
+        X = np.array(data.draw(st.lists(point, min_size=1, max_size=24), label="X"), dtype=int)
+        m_list = compositions_upto(max_deg, n)
+        got = _product_table(p, sd, max_deg, X)
+        want = _table_values(p, sd, m_list, X)
+        # sum_r |C_mr V_rx|, with C from the coefficient lists and
+        # V[r, x] = prod_i (-x_i)_{r_i}
+        C = np.zeros((len(m_list), len(m_list)))
+        for row, m in enumerate(m_list):
+            rank, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), m)
+            C[row, rank] = coeff
+        T = pochhammer_table(max_deg, int(X.max()))
+        R = np.array(m_list).reshape(-1, n)
+        V = np.prod([T[R[:, i:i + 1], X[:, i]] for i in range(n)], axis=0)
+        scale = np.abs(C) @ np.abs(V)
+        assert (np.abs(got - want) <= 8 * np.finfo(float).eps * scale).all()
+
+    @pytest.mark.parametrize(
+        "c,max_deg,S", [((0.2, 0.3), 15, 40), ((0.05, 0.1, 0.15, 0.2), 8, 12)]
+    )
+    def test_bit_identical_across_blockings(self, c, max_deg, S):
+        # several blocks of the helper's own width, cut anywhere: single
+        # points, short runs and long ones, written into slices of one table
+        p = ModelParams(1.5, c)
+        sd = solve(p)
+        X = lattice_points(p.n, 0, S)
+        whole = _product_table(p, sd, max_deg, X)
+        for cuts in ([1, 2, 3, 4, 9, 300], [5, 6, len(X) - 1], list(range(1, 40)) + [777]):
+            pieces = np.empty_like(whole)
+            for a, b in zip([0] + cuts, cuts + [len(X)]):
+                _product_table(p, sd, max_deg, X[a:b], pieces[:, a:b])
+            assert np.array_equal(pieces, whole)
+        reversed_ = _product_table(p, sd, max_deg, X[::-1].copy())
+        assert np.array_equal(reversed_[:, ::-1], whole)
+
+    def test_bit_identical_across_blas_threads(self):
+        src = str(Path(mvmeixner.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        hashes = set()
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=src if not path else src + os.pathsep + path,
+                OPENBLAS_NUM_THREADS=threads,
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", _PRODUCT_HASH],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            hashes.add(out.stdout.strip())
+        p = ModelParams(1.5, (0.05, 0.1, 0.15, 0.2))
+        here = _product_table(p, solve(p), 8, lattice_points(4, 0, 12))
+        assert hashes == {hashlib.sha256(here.tobytes()).hexdigest()}
 
 
 def _matrix_terms_mp(mp, beta, u, m):
