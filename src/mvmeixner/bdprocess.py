@@ -27,6 +27,10 @@ one-ulp longer wait drops a jump that lands within ulps of t.  So the counts
 do not depend on the batch size or on the numpy build's log1p, and match the
 one-trajectory loop the tests keep as oracle.  Each batch's final states are
 tallied by their `lattice_rank`, not as tuples.
+
+The counts are tested against the spectral column by a pooled chi-square,
+whose p-value is the upper tail of the chi-square law in closed form
+(`_chi2_upper_tail`), so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 
 from .errors import NegativeTime, ParameterError, TailTooLarge, TruncationBoundary
 from .model import (
+    MAX_DEGREE,
     ModelParams,
     MultiIndex,
     compositions_upto,
@@ -59,14 +64,13 @@ RNG_NAME = "philox"
 
 # Truncation searches: the S step and cap of orthogonality_check, the
 # bound on the omitted second moment and the S cap of moment_check, the shell
-# bound and M cap of choose_spectral_cutoff, and the mass defect at which
-# _spectral_column stops growing S and its S cap.
+# bound of choose_spectral_cutoff (its M cap is model.MAX_DEGREE), and the
+# mass defect at which _spectral_column stops growing S and its S cap.
 _ORTH_S_STEP = 10
 _ORTH_MAX_S = 400
 _MOMENT_TAIL_EPS = 1e-13
 _MOMENT_MAX_S = 400
 _SPECTRAL_CUTOFF_EPS = 1e-10
-_MAX_SPECTRAL_M = 200
 _COLUMN_MASS_TOL = 1e-8
 _COLUMN_MAX_S = 120
 
@@ -230,21 +234,21 @@ def choose_spectral_cutoff(
     t: float,
 ) -> int:
     """Smallest degree cutoff whose next shell is provably below
-    _SPECTRAL_CUTOFF_EPS; TailTooLarge if none up to _MAX_SPECTRAL_M is.
+    _SPECTRAL_CUTOFF_EPS; TailTooLarge if none up to MAX_DEGREE is.
 
     Shell |m| = M contributes at most sqrt(W(x)/W(y)) * exp(-lam_min M t) by
     orthonormality (shell sums of phi products are bounded by 1), so the
     bound is t-dependent: short times need far more shells.
     """
-    if t <= 0:
-        raise NegativeTime(f"adaptive cutoff needs t > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise NegativeTime(f"adaptive cutoff needs 0 < t < inf, got {t}")
     prefactor = math.exp(0.5 * (math.log(weight(p, x)) - math.log(weight(p, y))))
     M = 1
     while (shell := prefactor * math.exp(-sd.lam[0] * M * t)) >= _SPECTRAL_CUTOFF_EPS:
-        if M >= _MAX_SPECTRAL_M:
+        if M >= MAX_DEGREE:
             raise TailTooLarge(
                 f"shell bound {shell:.3e} >= {_SPECTRAL_CUTOFF_EPS:.0e} at "
-                f"M={M} (t={t}); no M <= {_MAX_SPECTRAL_M} reaches it"
+                f"M={M} (t={t}); no M <= {MAX_DEGREE} reaches it"
             )
         M += 1
     return M
@@ -273,10 +277,11 @@ def transition_prob(
 
     With M=None the cutoff is chosen adaptively via choose_spectral_cutoff
     (t must then be positive, and short t may raise TailTooLarge).
-    TruncationBoundary unless x and y are points of N_0^n.
+    NegativeTime unless 0 <= t < inf, ParameterError if M exceeds
+    MAX_DEGREE, TruncationBoundary unless x and y are points of N_0^n.
     """
-    if t < 0:
-        raise NegativeTime(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise NegativeTime(f"t must lie in [0, inf), got {t}")
     for z in (x, y):
         if len(z) != p.n or min(z) < 0:
             raise TruncationBoundary(f"{tuple(z)} is not a point of N_0^{p.n}")
@@ -369,8 +374,8 @@ def transition_matrix(
     distribution over the first index, accurate where the state stays well
     inside the truncation.
     """
-    if t < 0:
-        raise NegativeTime(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise NegativeTime(f"t must lie in [0, inf), got {t}")
     return _SpectralKernel(p, sd, M, lattice_points(p.n, 0, S)).matrix(t)
 
 
@@ -596,11 +601,11 @@ def simulate(
     Trajectory i draws from Philox4x64-10 keyed by the uint64 pair
     (seed, i), so results do not depend on execution order or batching;
     trajectories hitting the event cap MAX_EVENTS_PER_TRAJECTORY are counted
-    in cap_hits and contribute their state at the cap.  ParameterError
-    unless 0 <= seed < 2**64.
+    in cap_hits and contribute their state at the cap.  NegativeTime
+    unless 0 <= t < inf, ParameterError unless 0 <= seed < 2**64.
     """
-    if t < 0:
-        raise NegativeTime(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise NegativeTime(f"t must lie in [0, inf), got {t}")
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
     counts: Counter = Counter()
@@ -640,6 +645,7 @@ class ComparisonReport:
     max_abs_z: float
     pooled_rest_expected: float
     sim: SimulationResult
+    clamped_mass: float  # sum of |T| over the negative spectral entries, set to 0
 
 
 def compare_sim_spectral(
@@ -650,13 +656,15 @@ def compare_sim_spectral(
 ) -> ComparisonReport:
     """Per-state z-scores against the spectral row T(x0, .; t), plus a
     chi-square over the states whose expected count reaches
-    POOL_EXPECTED_COUNT (everything below pools into one remainder cell)."""
-    # imported here to keep scipy out of the package import
-    from scipy import special
-
+    POOL_EXPECTED_COUNT (everything below pools into one remainder cell),
+    with its p-value from _chi2_upper_tail.  Negative spectral entries,
+    which the truncation at M leaves at short t, are set to 0 and their
+    total magnitude is reported as clamped_mass."""
     N = sim.n_traj
     S = max(max((sum(s) for s in sim.counts), default=0), sum(sim.x0)) + 5
     probs, X = _spectral_column(p, sd, sim.x0, sim.t, M, S)
+    # np.maximum keeps a NaN
+    clamped_mass = float(np.maximum(-probs, 0.0).sum())
 
     rows: list[StateRow] = []
     cells: list[tuple[float, int]] = []
@@ -690,16 +698,53 @@ def compare_sim_spectral(
         cells.append((rest_p, rest_n))
     stat = math.fsum((n_obs - N * pr) ** 2 / (N * pr) for pr, n_obs in cells)
     dof = max(len(cells) - 1, 1)
-    p_value = float(special.chdtrc(dof, stat))
     return ComparisonReport(
         rows=rows,
         chi2=stat,
         dof=dof,
-        p_value=p_value,
+        p_value=_chi2_upper_tail(dof, stat),
         max_abs_z=max_abs_z,
         pooled_rest_expected=rest_p * N,
         sim=sim,
+        clamped_mass=clamped_mass,
     )
+
+
+def _chi2_upper_tail(dof: int, stat: float) -> float:
+    """P(chi2_dof > stat) for an integer dof >= 1: the regularized upper
+    incomplete gamma Q(s, y) at s = dof/2, y = stat/2 in its Poisson-sum
+    form (Abramowitz & Stegun 26.4.4-5).  With h = s - floor(s), the terms
+    T_j = e^-y y^(j+h) / Gamma(j+h+1), j >= 0, sum to 1 less erfc(sqrt y)
+    when h = 1/2; the j < floor(s) with that erfc give Q, the rest 1 - Q.
+
+    The smaller side is summed from its largest term, formed once in log
+    space, by the ratios T_(j-1) = T_j (j+h)/y and T_(j+1) = T_j y/(j+h+1):
+    Q itself when y >= s, else 1 minus the lower sum, which stops once a
+    term is below 1e-17 of it.  A NaN stat gives NaN, so no p-value test
+    passes on it.
+    """
+    if math.isnan(stat):
+        return stat
+    if stat <= 0.0:
+        return 1.0
+    if stat == math.inf:
+        return 0.0
+    k, h, y = dof // 2, dof % 2 / 2, stat / 2
+    upper = y >= k + h
+    j = k - 1 if upper else k  # the largest term of the side summed
+    t = math.exp((j + h) * math.log(y) - y - math.lgamma(j + h + 1)) if j >= 0 else 0.0
+    if upper:
+        total = math.erfc(math.sqrt(y)) if h else 0.0
+        for j in range(k - 1, -1, -1):
+            total += t
+            t *= (j + h) / y
+        return total
+    total = 0.0
+    while t > 1e-17 * total:
+        total += t
+        j += 1
+        t *= y / (j + h)
+    return 1.0 - total
 
 
 def _spectral_column(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -80,8 +81,8 @@ class RunConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ConfigError(f"tolerances.{name} must lie in (0, 1), got {v}")
-        if self.t < 0:
-            raise ConfigError(f"sim.t must be >= 0, got {self.t}")
+        if not 0 <= self.t < math.inf:
+            raise ConfigError(f"sim.t must be finite and >= 0, got {self.t}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"sim.seed must lie in [0, 2**64), got {self.seed}")
         return self
@@ -325,7 +326,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     summary = (
         f"# chi2={report.chi2:.6f} dof={report.dof} p_value={report.p_value:.6g} "
         f"max_abs_z={report.max_abs_z:.4f} seed={sim.seed} "
-        f"generator={sim.bit_generator} n_traj={sim.n_traj} cap_hits={sim.cap_hits}"
+        f"generator={sim.bit_generator} n_traj={sim.n_traj} cap_hits={sim.cap_hits} "
+        f"clamped_mass={report.clamped_mass:.6g}"
     )
     lines.append(summary)
     _out_path(cfg, "sim_vs_spectral.csv").write_text("\n".join(lines) + "\n")

@@ -17,11 +17,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CMassNotBelowOne, NonPositiveBeta, NonPositiveC
+from .errors import CMassNotBelowOne, NonPositiveBeta, NonPositiveC, ParameterError
 
 # Two c entries closer than this (relative) collapse a pole gap of the
 # secular equation, so they are treated as coincident.
 DEGENERACY_RTOL = 1e-12
+
+# The largest k whose k! converts to a double (171! exceeds 1.8e308): the
+# route-1 coefficient lists, route 2's series and Wbar divide by k! in
+# floats, so no degree or series cap may pass it.
+MAX_DEGREE = 170
 
 # Cap on the number of terms tail_bound sums.
 _TAIL_MAX_TERMS = 100_000
@@ -103,6 +108,14 @@ def shifted_factorial(a: float, k: int) -> float:
     for i in range(k):
         out *= a + i
     return out
+
+
+def check_degree(deg: int, what: str) -> None:
+    """ParameterError if deg exceeds MAX_DEGREE."""
+    if deg > MAX_DEGREE:
+        raise ParameterError(
+            f"{what}={deg} exceeds {MAX_DEGREE}, the largest k whose k! is a double"
+        )
 
 
 def log_shifted_factorial(a: float, k: int) -> float:

@@ -42,6 +42,7 @@ import numpy as np
 from .model import (
     ModelParams,
     MultiIndex,
+    check_degree,
     compositions_upto,
     enumerate_lattice,
     lattice_rank,
@@ -89,8 +90,10 @@ def _row_sum_coeffs(
     m_j with factor (-m_j)_{|col|} * prod_i u_ij^{col_i} / col_i!; a
     matrix's product is formed column by column from 1.0, each r bucket is
     summed by fsum and divided by (beta)_{|r|}.  Nothing here depends on x.
+    ParameterError if |m| exceeds MAX_DEGREE.
     """
     n, deg = len(m), sum(m)
+    check_degree(deg, "degree |m|")
     rows = np.zeros((1, n), dtype=np.int64)
     prods = np.ones(1)
     for j, mj in enumerate(m):
@@ -210,8 +213,11 @@ def _merged_lists(
     entries straight into their groups, so no list is sorted again."""
     if not m_list:
         return []
+    # checked before the first list is built, as in _product_table
+    max_deg = max(sum(m) for m in m_list)
+    check_degree(max_deg, "degree |m|")
     lists = [_row_sum_coeffs(p.beta, _u_columns(sd), tuple(m)) for m in m_list]
-    parts = _nonzero_parts(max(sum(m) for m in m_list), p.n)
+    parts = _nonzero_parts(max_deg, p.n)
     counts = np.zeros(len(parts) + 1, dtype=np.intp)
     for rank, _ in lists:
         counts[rank + 1] += 1
@@ -282,6 +288,7 @@ def _product_table(
     BLAS product, gives a column the same bits whatever the other columns
     hold, so no value depends on the other points or on the blocking.
     """
+    check_degree(max_deg, "degree |m|")
     n, m_list, u = p.n, compositions_upto(max_deg, p.n), _u_columns(sd)
     blocks = []
     for d in range(max_deg + 1):
@@ -403,7 +410,9 @@ class TruncatedSeries:
 def genfun_series(
     p: ModelParams, sd: SpectralData, x: MultiIndex, cap: int
 ) -> TruncatedSeries:
-    """Expansion of G(x; t) around t = 0 up to total degree `cap`."""
+    """Expansion of G(x; t) around t = 0 up to total degree `cap`;
+    ParameterError if cap exceeds MAX_DEGREE."""
+    check_degree(cap, "series cap")
     n = p.n
     series = TruncatedSeries.geometric_power(p.beta + sum(x), n, cap)
     b = sd.b

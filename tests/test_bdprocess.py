@@ -10,8 +10,10 @@ from mvmeixner import polynomials
 from mvmeixner.bdprocess import (
     ComparisonReport,
     _SpectralKernel,
+    _chi2_upper_tail,
     _spectral_column,
     chapman_kolmogorov_check,
+    choose_spectral_cutoff,
     compare_sim_spectral,
     choose_orthogonality_S,
     moment_check,
@@ -265,6 +267,28 @@ class TestTransition:
         with pytest.raises(NegativeTime):
             transition_prob(p, sd, (0,), (0,), -0.1, 5)
 
+    # a NaN t passed `t < 0` and gave NaN, and simulate stepped every
+    # trajectory to the event cap
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        p, sd = instance(2, 1.5)
+        with pytest.raises(NegativeTime):
+            transition_prob(p, sd, (1, 0), (0, 1), t, 10)
+        with pytest.raises(NegativeTime):
+            choose_spectral_cutoff(p, sd, (1, 0), (0, 1), t)
+        with pytest.raises(NegativeTime):
+            transition_matrix(p, sd, t, 5, 3)
+        with pytest.raises(NegativeTime):
+            simulate(p, (0, 0), t, 1, 10)
+
+    def test_degree_cap(self):
+        # 171! does not convert to a double
+        p, sd = instance(1, 1.5)
+        with pytest.raises(ParameterError, match="171 exceeds 170"):
+            transition_prob(p, sd, (1,), (0,), 1.0, 171)
+        rep = transition_prob(p, sd, (1,), (0,), 1.0, 170)
+        assert math.isfinite(rep.spectral_value)
+
     def test_long_time_reaches_stationarity(self):
         p, sd = instance(2, 1.5)
         t = 50.0 / sd.lam[0]
@@ -301,8 +325,6 @@ class TestTransition:
         assert res[2] < res[0]
 
     def test_adaptive_cutoff(self):
-        from mvmeixner.bdprocess import choose_spectral_cutoff
-
         p, sd = instance(2, 1.5)
         fast = choose_spectral_cutoff(p, sd, (1, 0), (0, 1), 2.0)
         slow = choose_spectral_cutoff(p, sd, (1, 0), (0, 1), 0.1)
@@ -316,8 +338,8 @@ class TestTransition:
             choose_spectral_cutoff(p, sd, (0, 0), (0, 0), 0.0)
         assert (fast, slow) == (7, 123)
         assert choose_spectral_cutoff(p, sd, (1, 0), (0, 1), 0.5) == 25
-        # at t=0.05 the next-shell bound is still 8e-9 at the cap M=200
-        with pytest.raises(TailTooLarge, match="M=200"):
+        # at t=0.05 the next-shell bound is still 1.07e-7 at the cap M=170
+        with pytest.raises(TailTooLarge, match="M=170"):
             choose_spectral_cutoff(p, sd, (1, 0), (0, 1), 0.05)
         with pytest.raises(TailTooLarge):
             transition_prob(p, sd, (1, 0), (0, 1), 0.05)
@@ -483,7 +505,30 @@ class TestSimulate:
         sim = simulate(p, (1, 0), 0.5, 3, 2000)
         rep = compare_sim_spectral(p, sd, sim, 10)
         assert rep.dof > 1
-        assert rep.p_value == float(chi2.sf(rep.chi2, rep.dof))
+        exact = _chi2_sf_mpmath(rep.dof, rep.chi2)
+        assert abs(rep.p_value - exact) <= 1e-13 * exact
+        assert rep.p_value == pytest.approx(float(chi2.sf(rep.chi2, rep.dof)), rel=1e-13)
+
+    def test_clamped_mass_reported(self):
+        # at short t the truncation at M=8 leaves negative spectral entries
+        # (the smallest about -2.9e-4); a row shows 0 for them, and the
+        # report carries their total magnitude
+        p = ModelParams(1.5, (0.1, 0.15, 0.2))
+        sd = solve(p)
+        sim = simulate(p, (0, 1, 0), 0.05, 42, 2000)
+        rep = compare_sim_spectral(p, sd, sim, 8)
+        S = max(sum(s) for s in sim.counts) + 5
+        probs, _ = _spectral_column(p, sd, (0, 1, 0), 0.05, 8, S)
+        assert probs.min() == pytest.approx(-2.86e-4, rel=1e-2)
+        negative = probs[probs < 0.0].tolist()
+        assert rep.clamped_mass == pytest.approx(-math.fsum(negative), rel=1e-12)
+        assert rep.clamped_mass == pytest.approx(2.64e-3, rel=1e-2)
+        assert all(row.spectral >= 0.0 for row in rep.rows)
+
+    def test_no_clamped_mass_at_desk_time(self):
+        p, sd = instance(2, 1.5)
+        rep = compare_sim_spectral(p, sd, simulate(p, (0, 0), 1.0, 42, 2000), 15)
+        assert rep.clamped_mass == 0.0
 
     def test_long_time_matches_stationary(self):
         p = ModelParams(1.0, (0.4,))
@@ -659,14 +704,39 @@ class TestSimulatorOracle:
             simulate(p, (0,), 0.5, seed, 10)
 
 
-def test_chdtrc_is_bitwise_chi2_sf():
-    # compare_sim_spectral computes its p-value with chdtrc to avoid
-    # importing scipy.stats; the two must agree to the last bit
-    from scipy.special import chdtrc
-    from scipy.stats import chi2
+def _chi2_sf_mpmath(dof: int, stat: float):
+    """P(chi2_dof > stat) at 50 digits: the regularized upper incomplete
+    gamma Q(dof/2, stat/2)."""
+    import mpmath
 
-    rng = np.random.default_rng(20)
-    dof = rng.integers(1, 400, size=20_000)
-    x = dof * rng.uniform(0.0, 3.0, size=dof.size)
-    x[::7] = rng.uniform(0.0, 1e-3, size=x[::7].size)
-    assert np.array_equal(chdtrc(dof, x), chi2.sf(x, dof))
+    with mpmath.workdps(50):
+        return mpmath.gammainc(
+            mpmath.mpf(dof) / 2, mpmath.mpf(stat) / 2, mpmath.inf, regularized=True
+        )
+
+
+class TestChi2UpperTail:
+    def test_against_mpmath(self):
+        # every dof up to 40 and 20 drawn up to 6000, both parities; stat
+        # near 0, at and around the mean, and drawn up to 3 dof + 40
+        rng = np.random.default_rng(29)
+        dofs = [*range(1, 41), *rng.integers(41, 6001, size=20).tolist()]
+        worst, cases = 0.0, 0
+        for dof in dofs:
+            stats = [1e-3, 0.5, dof - 0.5, dof, dof + 1.0, *rng.uniform(0.0, 3 * dof + 40, 5)]
+            for stat in map(float, stats):
+                exact = _chi2_sf_mpmath(dof, stat)
+                if exact < 1e-300:
+                    continue
+                cases += 1
+                worst = max(worst, float(abs(_chi2_upper_tail(dof, stat) - exact) / exact))
+        assert cases > 500
+        assert worst <= 1e-11
+
+    @pytest.mark.parametrize("dof", [1, 2, 7, 64])
+    def test_edges(self, dof):
+        assert math.isnan(_chi2_upper_tail(dof, math.nan))
+        assert _chi2_upper_tail(dof, 0.0) == 1.0
+        assert _chi2_upper_tail(dof, -3.0) == 1.0
+        assert _chi2_upper_tail(dof, math.inf) == 0.0
+        assert _chi2_upper_tail(dof, 1e6) == 0.0

@@ -313,22 +313,46 @@ class TestSimulateCommand:
         assert main(["simulate", cfg, "--seed", seed]) == EXIT_INVALID
         assert "sim.seed" in capsys.readouterr().err
 
+    # a NaN or infinite t ran every trajectory to the event cap
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_non_finite_time_is_invalid(self, tmp_path, capsys, t, via):
+        if via == "flag":
+            argv = ["simulate", write_config(tmp_path), "--t", t, "--n-traj", "10"]
+        else:
+            path = tmp_path / "c.json"
+            path.write_text('{"beta": 1.0, "c": [0.5], "sim": {"n_traj": 10, "t": %s}}'
+                            % {"nan": "NaN", "inf": "Infinity"}[t])
+            argv = ["simulate", str(path)]
+        assert main(argv) == EXIT_INVALID
+        assert "sim.t must be finite" in capsys.readouterr().err
+
+    def test_degree_past_170_is_invalid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, beta=1.0, c=[0.5])
+        assert main(["table", cfg, "--max-deg", "171"]) == EXIT_INVALID
+        assert "171 exceeds 170" in capsys.readouterr().err
+        assert main(["simulate", cfg, "--M", "171", "--n-traj", "10"]) == EXIT_INVALID
+
 
 class TestColdImport:
-    # scipy costs about a second per cold process; only simulate
-    # (scipy.special) may load it
+    # the package runs on numpy alone: scipy is a test dependency only
     @staticmethod
-    def _scipy_after(code):
-        """The scipy modules loaded once code has run in a fresh interpreter."""
+    def _run(code):
+        """The last line code prints in a fresh interpreter."""
         src = str(Path(mvmeixner.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-        code += "; print(sorted(k for k in sys.modules if k.partition('.')[0] == 'scipy'))"
         out = subprocess.run(
             [sys.executable, "-c", "import sys; " + code],
             env=env, capture_output=True, text=True, check=True,
         )
         return out.stdout.strip().splitlines()[-1]
+
+    def _scipy_after(self, code):
+        """The scipy modules loaded once code has run in a fresh interpreter."""
+        return self._run(
+            code + "; print(sorted(k for k in sys.modules if k.partition('.')[0] == 'scipy'))"
+        )
 
     @pytest.mark.parametrize("module", ["mvmeixner", "mvmeixner.cli"])
     def test_import_loads_no_scipy(self, module):
@@ -338,3 +362,14 @@ class TestColdImport:
         cfg = write_config(tmp_path, beta=1.0, c=[0.5])
         code = f"from mvmeixner.cli import main; assert main(['verify', {cfg!r}]) == 0"
         assert self._scipy_after(code) == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        # with scipy's import made to fail, every command still succeeds
+        cfg = write_config(tmp_path, beta=1.0, c=[0.5],
+                           sim={"seed": 9, "n_traj": 3000, "t": 0.8})
+        commands = ["spectrum", "table", "verify", "simulate"]
+        code = (
+            "sys.modules['scipy'] = None; from mvmeixner.cli import main; "
+            f"print([main([command, {cfg!r}]) for command in {commands!r}])"
+        )
+        assert self._run(code) == "[0, 0, 0, 0]"

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DegreeCapExceeded, all_instances, instance, meixner_1d, series_coefficient
 import mvmeixner
+from mvmeixner.errors import ParameterError
 from mvmeixner.model import (
     ModelParams,
     compositions_upto,
@@ -488,6 +489,34 @@ class TestGenfunOracle:
                 assert genfun_eval(p, sd, (m,), (x,)) == pytest.approx(
                     meixner_1d(p.beta, p.c[0], m, x), rel=1e-11, abs=1e-11
                 )
+
+
+class TestDegreeCap:
+    # 171! does not convert to a double, so both routes stop at degree 170
+    # with a ParameterError, not a bare OverflowError
+
+    def test_route1(self):
+        p, sd = instance(1, 1.5)
+        assert np.isfinite(poly_table(p, sd, 170, 2).values).all()
+        with pytest.raises(ParameterError, match="171 exceeds 170"):
+            poly_table(p, sd, 171, 2)
+        with pytest.raises(ParameterError, match="171 exceeds 170"):
+            meixner_eval(p, sd, (171,), (1,))
+
+    def test_route2(self):
+        p, sd = instance(1, 1.5)
+        assert len(genfun_all(p, sd, (1,), 170)) == 171
+        with pytest.raises(ParameterError, match="171 exceeds 170"):
+            genfun_all(p, sd, (1,), 171)
+
+    def test_tables_refuse_before_building(self):
+        # at n=2 the lists up to degree 170 alone would take minutes
+        p, sd = instance(2, 1.5)
+        X = np.zeros((1, 2), dtype=int)
+        with pytest.raises(ParameterError):
+            poly_table(p, sd, 171, 1)
+        with pytest.raises(ParameterError):
+            _product_table(p, sd, 171, X)
 
 
 class TestTruncatedSeries:

@@ -77,9 +77,9 @@ def test_spectrum_cli_close_rates(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-# math.factorial(m), in wbar and in the route-1 coefficient lists, overflows
-# a float once the adaptive cutoff passes m = 170; the example picks M = 184
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+# the adaptive cutoff stops at M = 170, the last degree whose factorial
+# (in wbar and the route-1 coefficient lists) is a double; the example,
+# which would need M = 184, raises TailTooLarge
 @settings(max_examples=15, **ROW)
 @example(beta=1.5, c=0.5, x=1, y=0, t=0.125)
 @given(
