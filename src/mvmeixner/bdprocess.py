@@ -8,11 +8,11 @@ cross-validates the whole construction.  Every spectral sum over the P table
 is read from one `_SpectralKernel`, built on the int array of points a
 caller needs: x and y for `transition_prob`, the lattice |x| <= S for
 `transition_matrix`, Chapman-Kolmogorov and the simulator's spectral column.
-Its table, like each shell's in the orthogonality check, is the product
-P = C V of `polynomials._product_table`.  The W-weighted lattice sums, the
-orthogonality Gram and the moments, are summed one shell |x| = s at a time,
-so no table of the whole lattice is formed.  Every lattice and shell is
-built in closed form by `model.lattice_points`.
+Its table is the product P = C V of `polynomials._product_table`.  The
+orthogonality Gram walks no lattice: it is exact from W's factorial moments
+(`_exact_gram`).  The moments of W, which tie the lattice weight to those
+closed forms, are summed one shell |x| = s at a time, on shells built in
+closed form by `model.lattice_points`.
 
 The simulator is Gillespie's direct method run in lock-step over batches of
 trajectories: each numpy step advances every live trajectory by one event and
@@ -54,7 +54,7 @@ from .model import (
     weight,
     weight_vector,
 )
-from .polynomials import _product_table
+from .polynomials import _composition_array, _product_table, _row_sum_coeffs, _u_columns
 from .spectral import SpectralData
 
 # Simulator limits and comparison hygiene.
@@ -62,22 +62,14 @@ MAX_EVENTS_PER_TRAJECTORY = 1_000_000
 POOL_EXPECTED_COUNT = 5.0
 RNG_NAME = "philox"
 
-# Truncation searches: the S step and cap of orthogonality_check, the
-# bound on the omitted second moment and the S cap of moment_check, the shell
-# bound of choose_spectral_cutoff (its M cap is model.MAX_DEGREE), and the
-# mass defect at which _spectral_column stops growing S and its S cap.
-_ORTH_S_STEP = 10
-_ORTH_MAX_S = 400
+# Truncation searches: moment_check's bound on the omitted second moment and
+# S cap, choose_spectral_cutoff's shell bound (its M cap is model.MAX_DEGREE),
+# and the mass defect at which _spectral_column stops growing S, and its S cap.
 _MOMENT_TAIL_EPS = 1e-13
 _MOMENT_MAX_S = 400
 _SPECTRAL_CUTOFF_EPS = 1e-10
 _COLUMN_MASS_TOL = 1e-8
 _COLUMN_MAX_S = 120
-
-# Points of a shell that orthogonality_check evaluates at once: its arrays
-# then stay small enough to be reused from the heap rather than mapped afresh
-# for every shell (at n=4 the shell |x| = 90 has 129k points, 36 MB a table)
-_ORTH_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +91,8 @@ def wbar(p: ModelParams, sd: SpectralData, m: MultiIndex) -> float:
 @dataclass
 class OrthogonalityReport:
     m_list: tuple[MultiIndex, ...]
-    gram: np.ndarray       # sum_x W P_m P_m'
+    gram: np.ndarray       # sum_x W P_m P_m' over all of N_0^n
     residuals: np.ndarray  # |gram| off-diagonal, |gram * Wbar - 1| on diagonal
-    S: int
-    tail_term: float       # tail_bound(S) * max |P|^2
 
     @property
     def max_offdiag(self) -> float:
@@ -115,56 +105,87 @@ class OrthogonalityReport:
         return float(np.diag(self.residuals).max())
 
 
-def orthogonality_check(
-    p: ModelParams,
-    sd: SpectralData,
-    max_deg: int,
-    S: int,
-    tail_eps: float = 1e-8,
-) -> OrthogonalityReport:
-    """Gram matrix of {P_m : |m| <= max_deg} under W on {|x| <= S'} against
-    the exact norms delta_mm' / Wbar(m), where S' is the first of S, S+10,
-    ... with tail_bound(S') * max|P|^2 <= tail_eps: the omitted lattice mass
-    then stays below the requested resolution.  TailTooLarge if no
-    S' <= _ORTH_MAX_S reaches it.
+def _exact_gram(
+    p: ModelParams, sd: SpectralData, max_deg: int
+) -> tuple[tuple[MultiIndex, ...], np.ndarray]:
+    """sum_x W P_m P_m' over all of N_0^n for the m of compositions_upto(
+    max_deg, n), each entry exact until it is rounded once to a float.
 
-    The lattice is walked one shell |x| = s at a time, in chunks of at most
-    _ORTH_CHUNK points: each chunk's P is evaluated once, added into the
-    Gram as (P W) P^T and into the running max|P|, and dropped.  The product
-    table (_product_table) works point by point, so every value is the one a
-    full table would hold.
+    P_m = sum_r coeff_r (-1)^{|r|} x^(r) in falling factorials, x^(a) x^(b)
+    = sum_t T[a, b, t] x^(t) per coordinate, and W, the negative-multinomial
+    law, has E_W[x^(s)] = (beta)_{|s|} prod_i q_i^{s_i}, q = c/(1-|c|)
+    (Johnson, Kotz & Balakrishnan 1997, ch. 36).  So the Gram is C M C^T with
+    M[r, r'] = sum_j (beta)_j pi_j, pi_j = [z^j] prod_i sum_t T[r_i, r'_i, t]
+    (q_i z)^t.  beta, c and coeff are exact rationals, and c_i = c'_i / L,
+    1 - |c| = D / L give q_i = c'_i / D, so all of it is formed in Python ints.
     """
-    m_list = compositions_upto(max_deg, p.n)
-    gram = np.zeros((len(m_list), len(m_list)))
-    max_p = 0.0
-    done = -1  # shells |x| <= done are already summed
-    while S <= _ORTH_MAX_S:
-        for s in range(done + 1, S + 1):
-            shell = lattice_points(p.n, s, s)
-            for start in range(0, len(shell), _ORTH_CHUNK):
-                X = shell[start:start + _ORTH_CHUNK]
-                values = _product_table(p, sd, max_deg, X)
-                gram += (values * weight_vector(p, X)) @ values.T
-                # np.max, unlike max(), keeps a NaN
-                max_p = float(np.max([max_p, values.max(), -values.min()]))
-        done = S
-        tail_term = tail_bound(p, S) * max_p**2
-        if tail_term <= tail_eps:
-            wbars = np.array([wbar(p, sd, m) for m in m_list])
-            residuals = np.abs(gram)
-            np.fill_diagonal(residuals, np.abs(np.diag(gram) * wbars - 1.0))
-            return OrthogonalityReport(
-                m_list=m_list, gram=gram, residuals=residuals, S=S, tail_term=tail_term
-            )
-        S += _ORTH_S_STEP
-    raise TailTooLarge(f"no S <= {_ORTH_MAX_S} reaches tail target {tail_eps:.1e}")
+    n, d, K = p.n, max_deg, 2 * max_deg + 1
+    m_list = compositions_upto(d, n)
+    R = _composition_array(d, n)
+    C = np.zeros((len(m_list), len(R)))
+    for row, m in enumerate(m_list):
+        rank, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), m)
+        C[row, rank] = coeff
+    if not np.isfinite(C).all():  # an overflowed list has no exact value
+        return m_list, np.full(C.shape, np.nan)
+    num, den = zip(*map(float.as_integer_ratio, (C * (-1.0) ** R.sum(axis=1)).flat))
+    scale = max(den)  # C and c as integers over common power-of-two denominators
+    C_int = np.array([a * (scale // b) for a, b in zip(num, den)], dtype=object).reshape(C.shape)
+    c_num, c_den = zip(*(v.as_integer_ratio() for v in p.c))
+    c_int = [a * (max(c_den) // b) for a, b in zip(c_num, c_den)]
+    D = max(c_den) - sum(c_int)
+    T = np.zeros((d + 1, d + 1, K), dtype=object)
+    for a, b in np.ndindex(d + 1, d + 1):
+        for k in range(min(a, b) + 1):
+            T[a, b, a + b - k] = math.comb(a, k) * math.comb(b, k) * math.factorial(k)
+    powers = np.array([[ci**j for j in range(K)] for ci in c_int], dtype=object)
+    # (beta)_j / D^j over the common denominator (b_den D)^(2d)
+    b_num, b_den = p.beta.as_integer_ratio()
+    rising = [math.prod(range(b_num, b_num + j * b_den, b_den)) for j in range(K)]
+    moments = np.array([v * (b_den * D) ** (K - 1 - j) for j, v in enumerate(rising)], dtype=object)
+    # C M C^T = sum_r C[:, r] (C M[r, :])^T: only one row's D^j pi_j are held
+    G = np.zeros((len(m_list), len(m_list)), dtype=object)
+    for r, row in enumerate(R):
+        poly = np.ones((len(R), 1), dtype=object)
+        for i in range(n):
+            coord = T[row[i], R[:, i]] * powers[i]
+            prod = np.zeros_like(coord)
+            for j in range(poly.shape[-1]):
+                prod[:, j:] += poly[:, j, None] * coord[:, :K - j]
+            poly = prod
+        G += np.multiply.outer(C_int[:, r], C_int @ poly.dot(moments))
+    total = scale**2 * (b_den * D) ** (2 * d)
+    try:
+        return m_list, np.array([g / total for g in G.flat]).reshape(G.shape)
+    except OverflowError:  # an entry beyond the float range
+        return m_list, np.full(G.shape, np.inf)
+
+
+def orthogonality_check(
+    p: ModelParams, sd: SpectralData, max_deg: int
+) -> OrthogonalityReport:
+    """Gram matrix of {P_m : |m| <= max_deg} under W over all of N_0^n, exact
+    with no cutoff (_exact_gram), against the norms delta_mm' / Wbar(m)."""
+    m_list, gram = _exact_gram(p, sd, max_deg)
+    wbars = np.array([wbar(p, sd, m) for m in m_list])
+    residuals = np.abs(gram)
+    np.fill_diagonal(residuals, np.abs(np.diag(gram) * wbars - 1.0))
+    return OrthogonalityReport(m_list=m_list, gram=gram, residuals=residuals)
 
 
 def choose_orthogonality_S(
     p: ModelParams, sd: SpectralData, max_deg: int, tail_eps: float = 1e-8, start: int = 20
 ) -> int:
-    """The S orthogonality_check settles on from the first try `start`."""
-    return orthogonality_check(p, sd, max_deg, start, tail_eps).S
+    """The first S of start, start+10, ... <= 400 (else TailTooLarge) at which
+    the Gram summed over {|x| <= S} is certified within tail_eps of the exact
+    one: on |x| = s >= 1, |P_m| <= A s^max_deg with A = max_m sum_r |coeff_r|,
+    so the omitted sum is at most A^2 tail_bound(S, 2 max_deg)."""
+    lists = (_row_sum_coeffs(p.beta, _u_columns(sd), m) for m in compositions_upto(max_deg, p.n))
+    A = max(np.abs(coeff).sum() for _, coeff in lists)
+    for S in range(start, 401, 10):
+        if A**2 * tail_bound(p, S, 2 * max_deg) <= tail_eps:
+            return S
+    raise TailTooLarge(f"no S <= 400 brings the Gram tail bound to {tail_eps:.1e}")
 
 
 def moment_check(p: ModelParams, S: int | None = None) -> dict[str, float]:
@@ -324,7 +345,7 @@ class _SpectralKernel:
     and evaluates only those, grows the table that a build on all the points
     gives, bit for bit.  A row or a column costs O(#m * N); only `matrix`
     builds the dense N x N kernel.  The orthogonality Gram is not formed
-    here: orthogonality_check sums it shell by shell.
+    here: _exact_gram sums it over all of N_0^n from W's factorial moments.
     """
 
     def __init__(self, p: ModelParams, sd: SpectralData, M: int, X: np.ndarray):

@@ -37,7 +37,6 @@ FACTORIZATION_TOL = 1e-12
 H_ZERO_MODE_TOL = 1e-10
 SPECTRUM_FLOOR = 1e-8
 GENFUN_TOL = 1e-7
-ORTH_TAIL_TARGET = 1e-8
 CHI2_P_THRESHOLD = 1e-3
 Z_LIMIT = 4.0
 CK_TIME = 0.3
@@ -230,7 +229,7 @@ def _verify_checks(cfg: RunConfig) -> dict[str, dict]:
         CONSTRAINT_TOL,
     )
 
-    orth = bdprocess.orthogonality_check(p, sd, cfg.max_deg, cfg.S, ORTH_TAIL_TARGET)
+    orth = bdprocess.orthogonality_check(p, sd, cfg.max_deg)
     record("orthogonality_offdiag", orth.max_offdiag, cfg.eps_orth)
     record("orthogonality_diag", orth.max_diag, cfg.eps_orth)
 
@@ -262,7 +261,7 @@ def _verify_checks(cfg: RunConfig) -> dict[str, dict]:
     for _ in range(20):
         x = shells[rng.integers(len(shells))]
         t = rng.uniform(-0.08, 0.08, size=p.n)
-        res = operators.genfun_identity_richardson(p, sd, x, t, h=1e-5)
+        res = operators.genfun_identity_richardson(p, sd, x, t)
         genfun_residuals.append(res["residual"])
     record("genfun_identity", _worst(genfun_residuals), GENFUN_TOL)
 

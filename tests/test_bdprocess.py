@@ -1,5 +1,7 @@
+import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,13 +87,13 @@ class TestWeights:
 class TestOrthogonality:
     def test_norms_against_dual_weight(self):
         p, sd = instance(2, 1.5)
-        rep = orthogonality_check(p, sd, 3, 20)
+        rep = orthogonality_check(p, sd, 3)
         assert rep.max_offdiag <= 1e-6
         assert rep.max_diag <= 1e-6
 
     def test_degree_zero_and_one_norms(self):
         p, sd = instance(2, 0.7)
-        rep = orthogonality_check(p, sd, 2, 20)
+        rep = orthogonality_check(p, sd, 2)
         i0 = rep.m_list.index((0, 0))
         assert rep.gram[i0, i0] == pytest.approx(1.0, abs=1e-9)
         for j in range(2):
@@ -102,65 +104,82 @@ class TestOrthogonality:
                 1.0 / (p.beta * sd.cbar[j]), rel=1e-9
             )
 
-    def test_tail_guard(self):
-        # max|P|^2 outgrows the tail: no S <= _ORTH_MAX_S = 400 reaches 1e-8
+    def test_no_tail_guard(self):
+        # the lattice walk found no S <= 400 with its tail term below 1e-8
+        # here; the exact Gram has no tail to test
         p = ModelParams(2.0, (0.3, 0.6))
-        with pytest.raises(TailTooLarge, match="no S <= 400"):
-            orthogonality_check(p, solve(p), 4, 20)
+        rep = orthogonality_check(p, solve(p), 4)
+        assert rep.max_offdiag <= 1e-6 and rep.max_diag <= 1e-6
 
-    # the desk config's verify search (first S 30, max_deg 3) and its n=3 variant
-    @pytest.mark.parametrize("c", [(0.2, 0.3), (0.1, 0.15, 0.2)])
-    def test_choose_S_matches_full_tables(self, c, monkeypatch):
-        p = ModelParams(1.5, c)
+    # the desk config's verify set (max_deg 3), its n=3 variant, and n=1 at
+    # c=0.6, where the walk's tail term (5.6e-10 at S=80) was no bound
+    @pytest.mark.parametrize(
+        "beta,c", [(1.5, (0.2, 0.3)), (1.5, (0.1, 0.15, 0.2)), (1.5, (0.6,))]
+    )
+    def test_exact_gram_matches_lattice(self, beta, c):
+        p = ModelParams(beta, c)
         sd = solve(p)
         tail_eps = 1e-8
+        S = choose_orthogonality_S(p, sd, 3, tail_eps)
+        P = poly_table(p, sd, 3, S).values
+        lattice = (P * weight_vector(p, enumerate_lattice(p.n, S))) @ P.T
+        gram = orthogonality_check(p, sd, 3).gram
+        assert np.abs(gram - lattice).max() <= tail_eps + 1e-14 * np.abs(gram).max()
 
-        def reference(start=30, step=10, max_S=400):
-            for S in range(start, max_S + 1, step):
-                table = poly_table(p, sd, 3, S)
-                tail_term = bdprocess.tail_bound(p, S) * float(np.abs(table.values).max()) ** 2
-                if tail_term <= tail_eps:
-                    return S, tail_term, table
-            raise TailTooLarge("no S")
-
-        S, tail_term, table = reference()
-        evaluated = []
-        real = bdprocess._product_table
-
-        def counting(p_, sd_, max_deg, X, *args):
-            evaluated.extend(map(tuple, X.tolist()))
-            return real(p_, sd_, max_deg, X, *args)
-
-        monkeypatch.setattr(bdprocess, "_product_table", counting)
-        rep = orthogonality_check(p, sd, 3, 30, tail_eps)
-        assert (rep.S, rep.tail_term) == (S, tail_term)
-        # each point of |x| <= S is evaluated once, and no table is rebuilt
-        assert sorted(evaluated) == sorted(enumerate_lattice(p.n, S))
-        # the shell sums give the whole-lattice Gram to rounding
-        P = table.values
-        whole = (P * weight_vector(p, enumerate_lattice(p.n, S))) @ P.T
-        assert np.abs(rep.gram - whole).max() <= 1e-14 * np.abs(whole).max()
-        assert choose_orthogonality_S(p, sd, 3, tail_eps, start=30) == S
-
-    def test_shells_in_chunks(self, monkeypatch):
-        # chunks of 7 points cut every shell past |x| = 6 of the desk config;
-        # the report is the unchunked one up to the order of the Gram's sums
-        p = ModelParams(1.5, (0.2, 0.3))
+    @pytest.mark.parametrize(
+        "beta,c,max_deg", [(1.5, (0.2, 0.3), 3), (0.7, (0.1, 0.15, 0.2), 2), (1.5, (0.001, 0.3), 3)]
+    )
+    def test_exact_gram_matches_fractions(self, beta, c, max_deg):
+        # the same sum in Fractions, one (r, r') moment at a time and with no
+        # common denominator: every entry, rounded once, agrees bit for bit
+        p = ModelParams(beta, c)
         sd = solve(p)
-        whole = orthogonality_check(p, sd, 3, 30)
-        sizes = []
-        real = bdprocess._product_table
+        cs = [Fraction(v) for v in p.c]
+        q = [ci / (1 - sum(cs)) for ci in cs]
 
-        def counting(p_, sd_, max_deg, X, *args):
-            sizes.append(len(X))
-            return real(p_, sd_, max_deg, X, *args)
+        def moment(r, s):  # E_W[(-x)_r (-x)_s]
+            total = Fraction(0)
+            for k in itertools.product(*(range(min(a, b) + 1) for a, b in zip(r, s))):
+                e = [a + b - ki for a, b, ki in zip(r, s, k)]
+                term = math.prod((Fraction(p.beta) + l for l in range(sum(e))), start=Fraction(1))
+                for a, b, ki, ei, qi in zip(r, s, k, e, q):
+                    term *= math.comb(a, ki) * math.comb(b, ki) * math.factorial(ki) * qi**ei
+                total += term
+            return total * (-1) ** (sum(r) + sum(s))
 
-        monkeypatch.setattr(bdprocess, "_ORTH_CHUNK", 7)
-        monkeypatch.setattr(bdprocess, "_product_table", counting)
-        rep = orthogonality_check(p, sd, 3, 30)
-        assert max(sizes) == 7 and sum(sizes) == len(enumerate_lattice(p.n, rep.S))
-        assert (rep.S, rep.tail_term) == (whole.S, whole.tail_term)
-        assert np.abs(rep.gram - whole.gram).max() <= 1e-14 * np.abs(whole.gram).max()
+        R = compositions_upto(max_deg, p.n)
+        M = {(r, s): moment(r, s) for r in R for s in R}
+        u = polynomials._u_columns(sd)
+        lists = [
+            {R[k]: Fraction(v) for k, v in zip(*polynomials._row_sum_coeffs(p.beta, u, m))}
+            for m in R
+        ]
+        gram = orthogonality_check(p, sd, max_deg).gram
+        for i, j in itertools.product(range(len(R)), repeat=2):
+            exact = sum(a * b * M[r, s] for r, a in lists[i].items() for s, b in lists[j].items())
+            assert gram[i, j] == float(exact)
+
+    @pytest.mark.parametrize("c", [(0.2, 0.3), (0.1, 0.15, 0.2)])
+    def test_choose_S_matches_full_tables(self, c):
+        # S is the first of 30, 40, ... whose certified tail bound
+        # A^2 tail_bound(S, 2 max_deg) reaches tail_eps, and the full table
+        # on |x| <= S keeps |P_m| <= A max(|x|, 1)^max_deg, the bound it rests on
+        p = ModelParams(1.5, c)
+        sd = solve(p)
+        tail_eps, max_deg = 1e-8, 3
+        u = polynomials._u_columns(sd)
+        A = max(
+            np.abs(polynomials._row_sum_coeffs(p.beta, u, m)[1]).sum()
+            for m in compositions_upto(max_deg, p.n)
+        )
+        bound = lambda S: A**2 * bdprocess.tail_bound(p, S, 2 * max_deg)
+        S = choose_orthogonality_S(p, sd, max_deg, tail_eps, start=30)
+        assert bound(S) <= tail_eps < bound(S - 10)
+        table = poly_table(p, sd, max_deg, S)
+        s = np.maximum([sum(x) for x in table.x_list], 1)
+        assert (np.abs(table.values) <= A * s**max_deg).all()
+        with pytest.raises(TailTooLarge, match="no S <= 400"):
+            choose_orthogonality_S(p, sd, max_deg, 1e-300, start=30)
 
     def test_corrupted_u_detected(self):
         # a 1e-3 perturbation of one u entry must break orthogonality visibly
@@ -170,8 +189,7 @@ class TestOrthogonality:
         bad = SpectralData(
             lam=sd.lam, u=tuple(tuple(r) for r in u), cbar=sd.cbar, residuals={}
         )
-        S = orthogonality_check(p, sd, 2, 20).S
-        rep = orthogonality_check(p, bad, 2, S)
+        rep = orthogonality_check(p, bad, 2)
         assert rep.max_offdiag > 1e-6
 
 
@@ -233,7 +251,7 @@ class TestPhiHat:
         # phi_m . phi_m' on |x| <= 70 is the Gram entry scaled by
         # sqrt(Wbar(m) Wbar(m'))
         p, sd = instance(2, 0.7)
-        rep = orthogonality_check(p, sd, 1, 70)
+        rep = orthogonality_check(p, sd, 1)
         i, k = rep.m_list.index((1, 0)), rep.m_list.index((0, 1))
         swb = np.sqrt([wbar(p, sd, m) for m in rep.m_list])
         phi_gram = swb[:, None] * rep.gram * swb[None, :]

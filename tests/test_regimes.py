@@ -17,7 +17,6 @@ from mvmeixner.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    ORTH_TAIL_TARGET,
     main,
 )
 from mvmeixner.errors import DegenerateParameters, MeixnerError
@@ -93,9 +92,8 @@ def test_short_t_transition(beta, c, x, y, t):
     _transition_is_finite(ModelParams(beta, (c,)), (x,), (y,), t, None)
 
 
-# factorization reads 1.8e-12 against an absolute 1e-12, below its rounding
-# floor eps * max D_j = 2.2e-12, and genfun_identity 1.4e3 against 1e-7
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+# the rates D_j = x_j/c_j reach 1e4 here: factorization is read relative to
+# max|H| and genfun_identity against the exact t-derivative
 def test_verify_cli_tiny_rate(tmp_path):
     code = main(["verify", str(CONFIG), "--c", "0.001,0.3", "--output-dir", str(tmp_path)])
     assert code == EXIT_OK
@@ -107,7 +105,7 @@ def test_c_mass_near_one_orthogonality(beta, c, max_deg):
     p = ModelParams(beta, (c,))
     sd = solve(p)
     try:
-        rep = orthogonality_check(p, sd, max_deg, 20, ORTH_TAIL_TARGET)
+        rep = orthogonality_check(p, sd, max_deg)
     except MeixnerError:
         return
     assert math.isfinite(rep.max_offdiag) and math.isfinite(rep.max_diag)
