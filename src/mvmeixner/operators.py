@@ -41,16 +41,6 @@ from .spectral import SpectralData
 _SINGULAR_EPS = 1e-12
 
 
-def birth_rate(p: ModelParams, x: MultiIndex) -> float:
-    """B_j(x) = beta + |x|, identical for every direction j."""
-    return p.beta + sum(x)
-
-
-def death_rate(p: ModelParams, x: MultiIndex, j: int) -> float:
-    """D_j(x) = x_j / c_j; vanishes at x_j = 0, which is the boundary condition."""
-    return x[j] / p.c[j]
-
-
 def _htilde(
     p: ModelParams, X: np.ndarray, f: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:

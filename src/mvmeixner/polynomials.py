@@ -39,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ParameterError
 from .model import (
     ModelParams,
     MultiIndex,
@@ -90,7 +91,7 @@ def _row_sum_coeffs(
     m_j with factor (-m_j)_{|col|} * prod_i u_ij^{col_i} / col_i!; a
     matrix's product is formed column by column from 1.0, each r bucket is
     summed by fsum and divided by (beta)_{|r|}.  Nothing here depends on x.
-    ParameterError if |m| exceeds MAX_DEGREE.
+    ParameterError if |m| exceeds MAX_DEGREE or a power u_ij^k overflows.
     """
     n, deg = len(m), sum(m)
     check_degree(deg, "degree |m|")
@@ -100,7 +101,12 @@ def _row_sum_coeffs(
         cols = np.array(compositions_upto(mj, n), dtype=np.int64)
         fac = np.array([shifted_factorial(-mj, s) for s in range(mj + 1)])[cols.sum(axis=1)]
         for i in range(n):
-            powers = [u_cols[j][i] ** k / math.factorial(k) for k in range(mj + 1)]
+            try:
+                powers = [u_cols[j][i] ** k / math.factorial(k) for k in range(mj + 1)]
+            except OverflowError:
+                raise ParameterError(
+                    f"degree |m|={deg}: a power u^k, k <= {mj}, overflows at u={u_cols[j][i]}"
+                ) from None
             fac = fac * np.array(powers)[cols[:, i]]
         nonzero = fac != 0.0
         rows = (rows[:, None, :] + cols[nonzero][None, :, :]).reshape(-1, n)
@@ -128,7 +134,7 @@ def meixner_eval(
     left to right in Python floats with the factors (-x_i)_0 = 1 left out.
     Terms alternate in sign through the (-x_i) and (-m_j) shifted
     factorials, so each r bucket and the final sum over r go through fsum,
-    which rounds once.
+    which rounds once.  ParameterError if a term or the sum overflows.
     """
     n = p.n
     if len(m) != n or len(x) != n:
@@ -152,7 +158,13 @@ def meixner_eval(
             term *= xfac[i][ri]
         else:
             terms.append(term)
-    return math.fsum(terms)
+    try:
+        value = math.fsum(terms)
+    except (OverflowError, ValueError):  # an overflowed term, or terms beyond the float range
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParameterError(f"P_m at degree |m|={deg}, x={tuple(x)} overflows a float")
+    return value
 
 
 def pochhammer_table(kmax: int, vmax: int) -> np.ndarray:

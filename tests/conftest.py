@@ -34,6 +34,16 @@ def unit_shift(x: tuple[int, ...], j: int, step: int) -> tuple[int, ...]:
     return x[:j] + (x[j] + step,) + x[j + 1:]
 
 
+def birth_rate(p: ModelParams, x: tuple[int, ...]) -> float:
+    """B_j(x) = beta + |x|, identical for every direction j."""
+    return p.beta + sum(x)
+
+
+def death_rate(p: ModelParams, x: tuple[int, ...], j: int) -> float:
+    """D_j(x) = x_j / c_j; vanishes at x_j = 0, which is the boundary condition."""
+    return x[j] / p.c[j]
+
+
 def all_instances() -> list[tuple[ModelParams, SpectralData]]:
     return [instance(n, beta) for n in (1, 2, 3) for beta in BETAS]
 

@@ -1,12 +1,21 @@
 import itertools
 import math
+import os
+import warnings
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import all_instances, instance, lattice_index, unit_shift
+from conftest import (
+    all_instances,
+    birth_rate,
+    death_rate,
+    instance,
+    lattice_index,
+    unit_shift,
+)
 from mvmeixner import bdprocess
 from mvmeixner import polynomials
 from mvmeixner.bdprocess import (
@@ -25,7 +34,13 @@ from mvmeixner.bdprocess import (
     transition_prob,
     wbar,
 )
-from mvmeixner.errors import NegativeTime, ParameterError, TailTooLarge, TruncationBoundary
+from mvmeixner.errors import (
+    MeixnerError,
+    NegativeTime,
+    ParameterError,
+    TailTooLarge,
+    TruncationBoundary,
+)
 from mvmeixner.model import (
     ModelParams,
     compositions,
@@ -35,7 +50,6 @@ from mvmeixner.model import (
     weight_vector,
 )
 from mvmeixner.polynomials import meixner_eval, poly_table
-from mvmeixner.operators import birth_rate, death_rate
 from mvmeixner.spectral import SpectralData, solve
 
 
@@ -306,6 +320,23 @@ class TestTransition:
             transition_prob(p, sd, (1,), (0,), 1.0, 171)
         rep = transition_prob(p, sd, (1,), (0,), 1.0, 170)
         assert math.isfinite(rep.spectral_value)
+
+    def test_overflowing_rising_factorial(self):
+        # (3)_169 and (2)_170 overflow while 169! and 170! do not: Wbar would
+        # be inf * 0 = NaN, so the cutoff refuses (TailTooLarge) and an
+        # explicit M is invalid input (ParameterError)
+        p = ModelParams(3.0, (0.3,))
+        sd = solve(p)
+        for t, M in ((0.058, 170), (0.0585, 169)):
+            with pytest.raises(TailTooLarge, match=rf"\(beta\)_169 overflows.*M={M}\)"):
+                transition_prob(p, sd, (1,), (0,), t)
+        rep = transition_prob(p, sd, (1,), (0,), 0.059)
+        assert (rep.M_cutoff, rep.spectral_value) == (167, 0.13341864503436132)
+        p = ModelParams(2.0, (0.3,))
+        sd = solve(p)
+        assert math.isfinite(transition_prob(p, sd, (1,), (0,), 0.5, 169).spectral_value)
+        with pytest.raises(ParameterError, match=r"\(beta\)_170 overflows"):
+            transition_prob(p, sd, (1,), (0,), 0.5, 170)
 
     def test_long_time_reaches_stationarity(self):
         p, sd = instance(2, 1.5)
@@ -618,6 +649,17 @@ def oracle_simulate(p, x0, t, seed, n_traj, max_events=1_000_000):
     return counts, cap_hits
 
 
+class BatchFault(MeixnerError):
+    """Raised by a patched batch; defined at module level, so a worker can
+    pickle it by reference."""
+
+
+def _assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestSimulatorOracle:
     """simulate advances all trajectories in lock-step; each must end where
     the one-trajectory loop on the same Philox stream ends, bit for bit."""
@@ -657,6 +699,117 @@ class TestSimulatorOracle:
         sim = simulate(p, (0, 0), 0.2, 5, n_traj)
         assert sim.n_traj == n_traj
         assert (sim.counts, sim.cap_hits) == oracle_simulate(p, (0, 0), 0.2, 5, n_traj)
+
+    @pytest.mark.parametrize(
+        "batch,n_traj",
+        [
+            (bdprocess._SIM_BATCH, 0),
+            (bdprocess._SIM_BATCH, 1),
+            (bdprocess._SIM_BATCH, bdprocess._SIM_BATCH + 1),
+            (bdprocess._SIM_BATCH, 2 * bdprocess._SIM_BATCH + 7),
+            # batches of 8 each add states the earlier ones lack, so a merge
+            # in any order but the batches' changes the key order
+            (8, 8 * 7 + 3),
+        ],
+    )
+    def test_split_over_cpus(self, monkeypatch, batch, n_traj):
+        # the batches split by stride over 1, 2 and 3 processes merge to the
+        # same counts, in the same key order, as the one-trajectory loop's
+        monkeypatch.setattr(bdprocess, "_SIM_BATCH", batch)
+        p = ModelParams(1.5, (0.2, 0.3))
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            sim = simulate(p, (0, 0), 0.5, 5, n_traj)
+            runs.append((list(sim.counts.items()), sim.cap_hits))
+            _assert_no_child()
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert (Counter(dict(runs[0][0])), runs[0][1]) == oracle_simulate(p, (0, 0), 0.5, 5, n_traj)
+
+    def test_split_with_capped_batches(self, monkeypatch):
+        monkeypatch.setattr(bdprocess, "MAX_EVENTS_PER_TRAJECTORY", 3)
+        p = ModelParams(1.5, (0.2, 0.3))
+        n_traj = 2 * bdprocess._SIM_BATCH + 7
+        expected = oracle_simulate(p, (0, 0), 1.0, 11, n_traj, max_events=3)
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            sim = simulate(p, (0, 0), 1.0, 11, n_traj)
+            assert (sim.counts, sim.cap_hits) == expected
+            runs.append(list(sim.counts.items()))
+        assert expected[1] > 0 and runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_fork_warning_silenced(self, monkeypatch):
+        # Python >= 3.12 warns when a process with threads (numpy's BLAS
+        # pool) forks; under filterwarnings = error that warning, and only
+        # that one, must not escape
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                "may lead to deadlocks in the child.",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", warning_fork)
+        p = ModelParams(1.5, (0.2, 0.3))
+        sim = simulate(p, (0, 0), 0.2, 5, 2 * bdprocess._SIM_BATCH)
+        assert sim.n_traj == sum(sim.counts.values())
+
+    def test_one_cpu_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked with one usable CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", no_fork)
+        sim = simulate(ModelParams(1.5, (0.2, 0.3)), (0, 0), 0.2, 5, 3 * bdprocess._SIM_BATCH)
+        assert sim.n_traj == sum(sim.counts.values())
+
+    # batch b of 3 raises: with 2 CPUs batch 0 and 2 run in the caller and
+    # batch 1 in the worker, with 3 CPUs each batch runs in its own process
+    @pytest.mark.parametrize(
+        "cpus,failing,error",
+        [
+            (1, 1, BatchFault),
+            (2, 0, BatchFault),
+            (2, 0, KeyboardInterrupt),
+            (2, 1, BatchFault),
+            (3, 2, TailTooLarge),
+        ],
+    )
+    def test_failing_batch_leaves_no_child(self, monkeypatch, cpus, failing, error):
+        batch = bdprocess._simulate_batch
+
+        def flaky(p, x0, t, seed, ids, max_events):
+            if int(ids[0]) == failing * bdprocess._SIM_BATCH:
+                raise error(f"batch {failing}")
+            return batch(p, x0, t, seed, ids, max_events)
+
+        monkeypatch.setattr(bdprocess, "_simulate_batch", flaky)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with pytest.raises(error, match=f"batch {failing}"):
+            simulate(ModelParams(1.5, (0.2, 0.3)), (0, 0), 0.2, 5, 3 * bdprocess._SIM_BATCH)
+        _assert_no_child()
+
+    def test_lost_worker(self, monkeypatch):
+        # a worker that dies before sending its batches is an error, not a
+        # short count
+        batch, caller = bdprocess._simulate_batch, os.getpid()
+
+        def dying(p, x0, t, seed, ids, max_events):
+            if os.getpid() != caller:
+                os._exit(3)
+            return batch(p, x0, t, seed, ids, max_events)
+
+        monkeypatch.setattr(bdprocess, "_simulate_batch", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ChildProcessError, match="before sending its batches"):
+            simulate(ModelParams(1.5, (0.2, 0.3)), (0, 0), 0.2, 5, 2 * bdprocess._SIM_BATCH)
+        _assert_no_child()
 
     def test_jumps_landing_on_t_end(self):
         # t_end is set to a trajectory's first jump time exactly, so that jump

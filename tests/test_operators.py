@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_instances, instance, lattice_index, series_coefficient, unit_shift
+from conftest import (
+    all_instances,
+    birth_rate,
+    death_rate,
+    instance,
+    lattice_index,
+    series_coefficient,
+    unit_shift,
+)
 from mvmeixner import operators
 from mvmeixner.errors import SingularGenfun
 from mvmeixner.model import (
@@ -21,10 +29,8 @@ from mvmeixner.operators import (
     _couplings,
     _dense,
     _htilde_at,
-    birth_rate,
     build_A,
     build_H,
-    death_rate,
     eigen_check,
     genfun_identity_richardson,
     genfun_value,

@@ -509,6 +509,31 @@ class TestDegreeCap:
         with pytest.raises(ParameterError, match="171 exceeds 170"):
             genfun_all(p, sd, (1,), 171)
 
+    # below the cap a value can still leave the float range: route 1 then
+    # raises a ParameterError naming the degree, not a bare OverflowError or
+    # ValueError
+    @pytest.mark.parametrize(
+        "beta,c,m,x",
+        [
+            # u = 1 - 1/0.01 = -99, and the float power 99.0**k overflows
+            (0.3, (0.01,), (160,), (0,)),
+            # terms of both signs overflow, and fsum refuses -inf + inf
+            (2.712755802965495, (0.6454143506483101,), (157,), (196,)),
+        ],
+    )
+    def test_route1_overflow_is_typed(self, beta, c, m, x):
+        p = ModelParams(beta, c)
+        sd = solve(p)
+        with pytest.raises(ParameterError, match=rf"degree \|m\|={m[0]}"):
+            meixner_eval(p, sd, m, x)
+
+    def test_route1_overflowing_power_in_tables(self):
+        p = ModelParams(0.3, (0.01,))
+        sd = solve(p)
+        assert meixner_eval(p, sd, (150,), (0,)) == 1.0
+        with pytest.raises(ParameterError, match="overflows"):
+            poly_table(p, sd, 160, 1)
+
     def test_tables_refuse_before_building(self):
         # at n=2 the lists up to degree 170 alone would take minutes
         p, sd = instance(2, 1.5)
