@@ -27,9 +27,10 @@ one-ulp longer wait drops a jump that lands within ulps of t.  So the counts
 do not depend on the batch size or on the numpy build's log1p, and match the
 one-trajectory loop the tests keep as oracle.  Each batch's final states are
 tallied by their `lattice_rank`, not as tuples.  The batches are split by
-stride over one process per CPU in the affinity mask (os.fork workers, no
-setting), and their tallies are merged in batch order, so neither the counts
-nor their key order depend on how many CPUs ran them.
+stride over one process per CPU in the affinity mask, through the fork
+helper `_fork.run_shares` that `PolyTable.write_csv` shares (no setting),
+and their tallies are merged in batch order, so neither the counts nor
+their key order depend on how many CPUs ran them.
 
 The counts are tested against the spectral column by a pooled chi-square,
 whose p-value is the upper tail of the chi-square law in closed form
@@ -39,15 +40,12 @@ whose p-value is the upper tail of the chi-square law in closed form
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fork import run_shares, usable_cpus
 from .errors import (
     MeixnerError,
     NegativeTime,
@@ -651,79 +649,6 @@ def _batch_tally(
     return _tally(final), capped
 
 
-def _fork_share(
-    p: ModelParams, x0: MultiIndex, t: float, seed: int, n_traj: int, share: range
-) -> tuple[int, int]:
-    """Fork a worker that runs the batches share (indices into
-    range(0, n_traj, _SIM_BATCH)) and sends back, down a pipe, one pickle:
-    the list of (batch index, tally, cap hits), or the exception its share
-    raised.  Returns the worker's pid and the pipe's read end.
-
-    The worker catches everything and leaves by os._exit, so it never
-    unwinds into the caller's stack, atexit or buffered stdout.  Forking a
-    process that holds threads (OpenBLAS starts its pool when numpy is
-    imported) is safe here because the worker calls only numpy ufuncs and
-    sorts, pickle and os, never BLAS, logging or a lock another thread may
-    hold; Python >= 3.12 warns about such a fork all the same.
-    """
-    read_end, write_end = os.pipe()
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
-        )
-        pid = os.fork()
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    status = 1
-    try:
-        os.close(read_end)
-        try:
-            payload = [
-                (b, *_batch_tally(p, x0, t, seed, n_traj, _SIM_BATCH * b)) for b in share
-            ]
-        except BaseException as exc:
-            payload = exc
-        with os.fdopen(write_end, "wb") as pipe:
-            pickle.dump(payload, pipe)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _gather(pid: int, read_end: int) -> list[tuple[int, dict[MultiIndex, int], int]]:
-    """The records worker pid sent down read_end; closes read_end and reaps
-    pid (killing it first unless its whole pickle arrived).  A worker's
-    exception is raised here as its own type; ChildProcessError if the
-    worker ended without sending one."""
-    payload = None
-    try:
-        with os.fdopen(read_end, "rb") as pipe:
-            payload = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        pass  # the worker died before its pickle was complete
-    finally:
-        if payload is None:
-            os.kill(pid, signal.SIGKILL)
-        _, status = os.waitpid(pid, 0)
-    if payload is None:
-        raise ChildProcessError(
-            f"simulate worker {pid} ended (wait status {status}) before sending its batches"
-        )
-    if isinstance(payload, BaseException):
-        raise payload
-    return payload
-
-
-def _share_count(n_batches: int) -> int:
-    """Processes to run n_batches batches on: one per CPU this process may
-    run on, no more than there are batches, and 1 where the platform has no
-    os.fork or os.sched_getaffinity."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(n_batches, len(os.sched_getaffinity(0))))
-
-
 def simulate(
     p: ModelParams,
     x0: MultiIndex,
@@ -742,39 +667,32 @@ def simulate(
 
     The batches of _SIM_BATCH trajectories are split by stride over k
     processes, k the number of CPUs in this process's affinity mask but no
-    more than there are batches (there is no setting): the caller runs
-    batches 0, k, 2k, ..., and forked workers s = 1, ..., k - 1
-    (_fork_share) run batches s, s + k, s + 2k, ...  Each batch is tallied
-    where it ran, and the tallies are merged here in batch order, so
-    `counts`, down to its key order, and `cap_hits` are those of one
-    process running the batches in turn.  With k = 1 nothing is forked.  A
-    worker's exception is raised here as its own type, and every worker is
-    reaped (on any error, killed first) before simulate returns or raises.
+    more than there are batches (there is no setting): share s runs batches
+    s, s + k, s + 2k, ..., share 0 in the caller and the others in forked
+    workers (_fork.run_shares).  Each batch is tallied where it ran, and the
+    tallies are merged here in batch order, so `counts`, down to its key
+    order, and `cap_hits` are those of one process running the batches in
+    turn.  With k = 1 nothing is forked.  A worker's exception is raised
+    here as its own type, and every worker is reaped before simulate
+    returns or raises.
     """
     if not 0 <= t < math.inf:
         raise NegativeTime(f"t must lie in [0, inf), got {t}")
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
     n_batches = len(range(0, n_traj, _SIM_BATCH))
-    k = _share_count(n_batches)
-    batches: list[tuple[dict[MultiIndex, int], int]] = [({}, 0)] * n_batches
-    workers: list[tuple[int, int]] = []  # (pid, pipe read end) not yet reaped
-    try:
-        for s in range(1, k):
-            workers.append(_fork_share(p, x0, t, seed, n_traj, range(s, n_batches, k)))
-        for b in range(0, n_batches, k):
-            batches[b] = _batch_tally(p, x0, t, seed, n_traj, _SIM_BATCH * b)
-        while workers:
-            for b, tally, capped in _gather(*workers.pop(0)):
-                batches[b] = tally, capped
-    finally:
-        for pid, read_end in workers:
-            os.close(read_end)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    k = max(1, min(n_batches, usable_cpus()))
+
+    def share(s: int) -> list[tuple[dict[MultiIndex, int], int]]:
+        return [
+            _batch_tally(p, x0, t, seed, n_traj, _SIM_BATCH * b) for b in range(s, n_batches, k)
+        ]
+
+    shares = run_shares(share, k, "batches")
     counts: Counter = Counter()
     cap_hits = 0
-    for tally, capped in batches:
+    for b in range(n_batches):
+        tally, capped = shares[b % k][b // k]
         counts.update(tally)
         cap_hits += capped
     return SimulationResult(

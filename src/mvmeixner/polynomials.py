@@ -32,6 +32,9 @@ model.compositions_upto and model.lattice_rank) and are each other's oracle.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -39,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fork import run_shares, usable_cpus
 from .errors import ParameterError
 from .model import (
     ModelParams,
@@ -423,7 +427,8 @@ def genfun_series(
     p: ModelParams, sd: SpectralData, x: MultiIndex, cap: int
 ) -> TruncatedSeries:
     """Expansion of G(x; t) around t = 0 up to total degree `cap`;
-    ParameterError if cap exceeds MAX_DEGREE."""
+    ParameterError if cap exceeds MAX_DEGREE or a coefficient is not finite
+    (from degree 170 or so (beta + |x|)_d overflows a float)."""
     check_degree(cap, "series cap")
     n = p.n
     series = TruncatedSeries.geometric_power(p.beta + sum(x), n, cap)
@@ -431,6 +436,12 @@ def genfun_series(
     for i in range(n):
         if x[i]:
             series = series * TruncatedSeries.affine_power(b[i], x[i], n, cap)
+    bad = np.flatnonzero(~np.isfinite(series.values))
+    if len(bad):
+        deg = int(_composition_array(cap, n)[bad[0]].sum())
+        raise ParameterError(
+            f"series coefficient at degree |m|={deg}, x={tuple(x)} overflows a float"
+        )
     return series
 
 
@@ -448,6 +459,11 @@ def genfun_all(
 # tables
 # ---------------------------------------------------------------------------
 
+# PolyTable.write_csv forks one more worker per this many cells, so a table
+# too small to gain from a worker is written by one process.
+_CSV_CELLS = 1 << 17
+
+
 @dataclass(frozen=True)
 class PolyTable:
     """Dense table of P_m(x), graded-lex on both axes."""
@@ -458,15 +474,45 @@ class PolyTable:
 
     def write_csv(self, path: str | Path) -> None:
         """Header row of x indices, first column of m indices, cells with 17
-        significant digits (round-trip exact for doubles), written one row at
-        a time so that only one line of text is held in memory.  A row is
+        significant digits (round-trip exact for doubles).  A row is
         formatted by one %-operation over its Python floats, which gives the
-        bytes f"{v:.17g}" gives per cell."""
+        bytes f"{v:.17g}" gives per cell.
+
+        The rows are split into k contiguous runs, k the number of usable
+        CPUs but at most one per _CSV_CELLS cells and one per row, and run s
+        is formatted by share s of _fork.run_shares: run 0 here, after the
+        header, straight into the file, and each other run in a forked
+        worker into an unnamed temporary file beside it, made before the
+        fork.  Those files are then appended in run order, so the bytes do
+        not depend on k.  Every process writes one row at a time, so that
+        only one line of text is held in memory.
+        """
+        path = Path(path)
+        rows = len(self.m_list)
+        k = max(1, min(usable_cpus(), rows, -(-self.values.size // _CSV_CELLS)))
+        bounds = [rows * s // k for s in range(k + 1)]
         cells = ",".join(["%.17g"] * len(self.x_list))
-        with Path(path).open("w") as fh:
-            fh.write("m\\x," + ",".join(_fmt_midx(x) for x in self.x_list) + "\n")
-            for m, row in zip(self.m_list, self.values):
-                fh.write(_fmt_midx(m) + "," + cells % tuple(row.tolist()) + "\n")
+        with ExitStack() as stack:
+            fh = stack.enter_context(path.open("w"))
+            parts = [fh] + [
+                stack.enter_context(tempfile.TemporaryFile("w", dir=path.parent))
+                for _ in range(1, k)
+            ]
+
+            def share(s: int) -> None:
+                out = parts[s]
+                if not s:
+                    out.write("m\\x," + ",".join(_fmt_midx(x) for x in self.x_list) + "\n")
+                run = slice(bounds[s], bounds[s + 1])
+                for m, row in zip(self.m_list[run], self.values[run]):
+                    out.write(_fmt_midx(m) + "," + cells % tuple(row.tolist()) + "\n")
+                out.flush()
+
+            run_shares(share, k, "rows")
+            for part in parts[1:]:
+                size, offset = os.fstat(part.fileno()).st_size, 0
+                while offset < size:
+                    offset += os.sendfile(fh.fileno(), part.fileno(), offset, size - offset)
 
 
 def _fmt_midx(m: MultiIndex) -> str:

@@ -1,7 +1,9 @@
 import math
+import os
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 from mvmeixner.errors import MeixnerError
 from mvmeixner.model import ModelParams, enumerate_lattice, lattice_rank, shifted_factorial
@@ -73,3 +75,9 @@ def series_coefficient(series, m: tuple[int, ...]) -> float:
     if len(m) != series.n_vars or min(m) < 0:
         raise ValueError(f"exponent {tuple(m)} is not in N_0^{series.n_vars}")
     return float(series.values[lattice_rank(np.array([m]))[0]])
+
+
+def _assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    _assert_no_child,
     all_instances,
     birth_rate,
     death_rate,
@@ -652,12 +653,6 @@ def oracle_simulate(p, x0, t, seed, n_traj, max_events=1_000_000):
 class BatchFault(MeixnerError):
     """Raised by a patched batch; defined at module level, so a worker can
     pickle it by reference."""
-
-
-def _assert_no_child():
-    """No child of this process is left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSimulatorOracle:

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DegreeCapExceeded, all_instances, instance, meixner_1d, series_coefficient
+from conftest import (
+    DegreeCapExceeded,
+    _assert_no_child,
+    all_instances,
+    instance,
+    meixner_1d,
+    series_coefficient,
+)
 import mvmeixner
 from mvmeixner.errors import ParameterError
 from mvmeixner.model import (
@@ -504,10 +511,26 @@ class TestDegreeCap:
             meixner_eval(p, sd, (171,), (1,))
 
     def test_route2(self):
+        # at x = (0,) every coefficient up to the cap is finite; at x = (1,)
+        # the (170,) one is not (see test_route2_overflow_is_typed)
         p, sd = instance(1, 1.5)
-        assert len(genfun_all(p, sd, (1,), 170)) == 171
+        values = genfun_all(p, sd, (0,), 170)
+        assert len(values) == 171 and all(map(math.isfinite, values.values()))
         with pytest.raises(ParameterError, match="171 exceeds 170"):
             genfun_all(p, sd, (1,), 171)
+
+    def test_route2_overflow_is_typed(self):
+        # (2.5)_170 overflows in the series' geometric factor, where route 1
+        # still reads P_170(1) = -112.33...; route 2 names the degree instead
+        # of returning inf
+        p, sd = instance(1, 1.5)
+        assert genfun_all(p, sd, (1,), 169)[(169,)] == pytest.approx(
+            meixner_eval(p, sd, (169,), (1,)), rel=1e-12
+        )
+        assert meixner_eval(p, sd, (170,), (1,)) == pytest.approx(-337 / 3, rel=1e-12)
+        for call in (genfun_all, genfun_series):
+            with pytest.raises(ParameterError, match=r"degree \|m\|=170, x=\(1,\)"):
+                call(p, sd, (1,), 170)
 
     # below the cap a value can still leave the float range: route 1 then
     # raises a ParameterError naming the degree, not a bare OverflowError or
@@ -723,6 +746,14 @@ class TestSingleVariable:
                 assert abs(a - b) <= 1e-12 * (1 + abs(a))
 
 
+# small tables whose cells exercise %.17g: signed zero, subnormal, huge and
+# tiny values, and a table of one column
+CSV_VALUES = {
+    "edge-values": [[-0.0, 5e-324, 1e308, -1e-300, 1.0, -3.0, 2.0**60, 0.1]],
+    "one-column": [[1.0], [-0.0], [5e-324], [-1e-300]],
+}
+
+
 class TestPolyTable:
     def test_first_row_and_column(self):
         p, sd = instance(2, 1.5)
@@ -752,14 +783,7 @@ class TestPolyTable:
                 meixner_eval(p, sd, (1, 0, 2), tuple(X[k])), rel=1e-11, abs=1e-11
             )
 
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [[-0.0, 5e-324, 1e308, -1e-300, 1.0, -3.0, 2.0**60, 0.1]],
-            [[1.0], [-0.0], [5e-324], [-1e-300]],
-        ],
-        ids=["edge-values", "one-column"],
-    )
+    @pytest.mark.parametrize("values", CSV_VALUES.values(), ids=CSV_VALUES.keys())
     def test_csv_bytes_match_per_cell_format(self, tmp_path, values):
         values = np.array(values)
         k = values.shape[1]
@@ -786,3 +810,115 @@ class TestPolyTable:
         assert header[1] == "0:0"
         cell = float(lines[2].split(",")[2])
         assert cell == table.values[1, 1]
+
+
+def _csv_reference(table: PolyTable) -> bytes:
+    """The bytes of write_csv, formed one cell at a time with f"{v:.17g}"."""
+    lines = ["m\\x," + ",".join(":".join(map(str, x)) for x in table.x_list)]
+    for m, row in zip(table.m_list, table.values):
+        lines.append(":".join(map(str, m)) + "," + ",".join(f"{v:.17g}" for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _small_table(values) -> PolyTable:
+    values = np.array(values, dtype=float)
+    return PolyTable(
+        m_list=tuple((a, 0) for a in range(values.shape[0])),
+        x_list=tuple((b, 1) for b in range(values.shape[1])),
+        values=values,
+    )
+
+
+class TestCsvSplit:
+    """write_csv formats its rows in one process per usable CPU; with the
+    cell threshold shrunk to 1 every table of more than one row splits, and
+    the bytes must not depend on the split."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "_CSV_CELLS", 1)
+
+        def set_cpus(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+        return set_cpus
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "table",
+        [
+            lambda: _small_table(CSV_VALUES["edge-values"]),
+            lambda: _small_table(CSV_VALUES["one-column"]),
+            lambda: poly_table(*instance(2, 1.5), 3, 6),
+            lambda: _small_table([[0.1, -2.5], [1e-17, 3.0]]),
+        ],
+        ids=["edge-values", "one-column", "n2-poly-table", "fewer-rows-than-cpus"],
+    )
+    def test_bytes_do_not_depend_on_split(self, tmp_path, split, cpus, table):
+        split(cpus)
+        table = table()
+        path = tmp_path / "poly_table.csv"
+        table.write_csv(path)
+        assert path.read_bytes() == _csv_reference(table)
+        assert os.listdir(tmp_path) == ["poly_table.csv"]
+        _assert_no_child()
+
+    def test_bare_relative_path(self, tmp_path, monkeypatch, split):
+        split(2)
+        monkeypatch.chdir(tmp_path)
+        table = poly_table(*instance(2, 1.5), 3, 6)
+        table.write_csv("poly_table.csv")
+        assert (tmp_path / "poly_table.csv").read_bytes() == _csv_reference(table)
+        assert os.listdir(tmp_path) == ["poly_table.csv"]
+
+    def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch, split):
+        def no_fork():
+            raise AssertionError("forked with one usable CPU")
+
+        split(1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        table = poly_table(*instance(2, 1.5), 3, 6)
+        table.write_csv(tmp_path / "poly_table.csv")
+        assert (tmp_path / "poly_table.csv").read_bytes() == _csv_reference(table)
+
+    def test_small_table_forks_nothing(self, tmp_path, monkeypatch):
+        # at the real threshold the desk table (4,960 cells) is one process
+        def no_fork():
+            raise AssertionError("forked for a small table")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", no_fork)
+        table = poly_table(*instance(2, 1.5), 3, 30)
+        assert table.values.size == 4960
+        table.write_csv(tmp_path / "poly_table.csv")
+        assert (tmp_path / "poly_table.csv").read_bytes() == _csv_reference(table)
+
+    # the row formatting goes through _fmt_midx, patched to fail in the
+    # caller's share or in a worker's; each failure keeps its type, leaves no
+    # child and no temporary file
+    @pytest.mark.parametrize(
+        "where,error,match",
+        [
+            ("worker", OSError, "disk full"),
+            ("caller", KeyboardInterrupt, "interrupted"),
+            ("worker", ChildProcessError, "before sending its rows"),
+        ],
+        ids=["worker-oserror", "caller-interrupt", "lost-worker"],
+    )
+    def test_failure_leaves_no_child(self, tmp_path, monkeypatch, split, where, error, match):
+        fmt, caller = polynomials._fmt_midx, os.getpid()
+
+        def failing(m):
+            if (os.getpid() == caller) == (where == "caller"):
+                if error is ChildProcessError:
+                    os._exit(3)  # the worker leaves before reporting
+                raise error(match)
+            return fmt(m)
+
+        split(3)
+        monkeypatch.setattr(polynomials, "_fmt_midx", failing)
+        table = poly_table(*instance(2, 1.5), 3, 6)
+        with pytest.raises(error, match=match):
+            table.write_csv(tmp_path / "poly_table.csv")
+        _assert_no_child()
+        assert os.listdir(tmp_path) == ["poly_table.csv"]
