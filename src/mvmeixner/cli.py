@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bdprocess, operators, polynomials, spectral
+from ._atomic import replacing
 from .errors import ConfigError, MeixnerError, ParameterError, TailTooLarge
 from .model import ModelParams, enumerate_lattice
 
@@ -160,7 +161,8 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with replacing(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     log.info("wrote %s", path)
 
 
@@ -251,7 +253,7 @@ def _verify_checks(cfg: RunConfig) -> dict[str, dict]:
     record(
         "h_spectrum_floor",
         # 0.0 last: of two equal values np.max keeps the later, so -0.0 reads 0.0
-        _worst([-algebra["min_interior_eigenvalue"], 0.0]),
+        _worst([-algebra["interior_eigenvalue_floor"], 0.0]),
         SPECTRUM_FLOOR,
     )
 
@@ -329,7 +331,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         f"clamped_mass={report.clamped_mass:.6g}"
     )
     lines.append(summary)
-    _out_path(cfg, "sim_vs_spectral.csv").write_text("\n".join(lines) + "\n")
+    with replacing(_out_path(cfg, "sim_vs_spectral.csv")) as fh:
+        fh.write("\n".join(lines) + "\n")
     print(summary.lstrip("# "))
     ok = report.p_value > CHI2_P_THRESHOLD and report.max_abs_z <= Z_LIMIT
     return EXIT_OK if ok else EXIT_VERIFY_FAILED

@@ -7,14 +7,17 @@ dropped (soft truncation), so identities are asserted at interior points
 only; the infinite lattice has no boundary and we refuse to invent one.
 
 The process moves x only to x +- e_j.  `_couplings` lists every such pair
-x <-> x+e_j inside the truncation once, with the rates B(x) and D_j(x) over
-the lattice.  `build_H` and `build_A` write that one list into dense N x N
-numpy arrays, N = C(S+n, n), so each holds N^2 floats.  The
-package builds only H, in `operator_algebra_report` at S <= 10 (N = 3003 at
-n = 5), and reads the factors A_j off the coupling list.  H-tilde is
-written once, in `_htilde`, as array code over a block of points that reads
-values through a callable on point arrays: `eigen_check` hands it P_m
-tabulated once and read by lattice position (`model.lattice_rank`, which
+x <-> x+e_j inside the truncation once, over the int lattice of
+`model.lattice_points`, with the rates B(x) and D_j(x) and the entries of H
+derived from them: the diagonal out_rate and one off-diagonal value v per
+coupling.  `operator_algebra_report` runs every H-level check on that list,
+with no N x N array and no eigensolver.  `build_H` and `build_A` write the
+list into dense N x N arrays, N = C(S+n, n); only the tests and the
+benchmark's tracer call them.
+
+H-tilde is written once, in `_htilde`, as array code over a block of points
+that reads values through a callable on point arrays: `eigen_check` hands it
+P_m tabulated once and read by lattice position (`model.lattice_rank`, which
 `_couplings` uses too), the generating-function identity the closed form
 G(x; t).  Each point's value is the one a scalar loop over j gives.
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,6 +36,7 @@ from .model import (
     ModelParams,
     MultiIndex,
     enumerate_lattice,
+    lattice_points,
     lattice_rank,
     weight_vector,
 )
@@ -100,34 +105,42 @@ def eigen_check(
 @dataclass(frozen=True)
 class _Couplings:
     """Every coupling x <-> x+e_j inside {|x| <= S}, listed once as lattice
-    positions a (of x) and b (of x+e_j) with direction j; the positions
-    `inner` of the interior points |x| < S, whose couplings all stayed
-    inside; and the rates over the lattice: birth[x] = B(x), death[x, j] =
-    D_j(x) and out_rate[x] = sum_j (B + D_j)(x), summed with math.fsum."""
+    positions a (of x) and b (of x+e_j) with direction j; the lattice X
+    itself, an int array in graded-lex order; the positions `inner` of the
+    interior points |x| < S, whose couplings all stayed inside; and the rates
+    over the lattice: birth[x] = B(x) and death[x, j] = D_j(x).  H's entries
+    are derived from those rates here and nowhere else: its diagonal
+    out_rate and its off-diagonal v at each coupling."""
 
+    X: np.ndarray
     a: np.ndarray
     b: np.ndarray
     j: np.ndarray
     inner: np.ndarray
     birth: np.ndarray
     death: np.ndarray
-    out_rate: np.ndarray
+
+    @cached_property
+    def out_rate(self) -> np.ndarray:
+        """sum_j (B + D_j)(x) at every point, summed with math.fsum."""
+        rows = (self.birth[:, None] + self.death).tolist()
+        return np.array([math.fsum(row) for row in rows])
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        """H at (x, x+e_j) and at (x+e_j, x): -sqrt(B(x) D_j(x+e_j))."""
+        return -np.sqrt(self.birth[self.a] * self.death[self.b, self.j])
 
 
 def _couplings(p: ModelParams, S: int) -> _Couplings:
-    X = np.array(enumerate_lattice(p.n, S), dtype=np.int64).reshape(-1, p.n)
+    X = lattice_points(p.n, 0, S)
     total = X.sum(axis=1)
-    birth = p.beta + total
-    death = X / np.asarray(p.c)
-    out_rate = np.array(
-        [math.fsum(row) for row in (birth[:, None] + death).tolist()]
-    )
     inner = np.flatnonzero(total < S)
     a = np.repeat(inner, p.n)
     j = np.tile(np.arange(p.n), len(inner))
     # row (a, j) of the shifted block is x+e_j at x = X[a]
     b = lattice_rank((X[inner, None, :] + np.eye(p.n, dtype=X.dtype)).reshape(-1, p.n))
-    return _Couplings(a, b, j, inner, birth, death, out_rate)
+    return _Couplings(X, a, b, j, inner, p.beta + total, X / np.asarray(p.c))
 
 
 def _dense(
@@ -141,40 +154,40 @@ def _dense(
     return out
 
 
-def _H(k: _Couplings) -> np.ndarray:
-    v = -np.sqrt(k.birth[k.a] * k.death[k.b, k.j])
-    return _dense(k.out_rate, (k.a, k.b, v), (k.b, k.a, v))
-
-
 def build_H(p: ModelParams, S: int) -> np.ndarray:
     """Symmetric H on {|x| <= S} as a dense N x N array, N = C(S+n, n):
     diagonal sum_j (B_j + D_j), off-diagonal -sqrt(B_j(x) D_j(x+e_j)) at
     x <-> x+e_j.  Both triangle entries are written from the same float, so
-    the result is bitwise symmetric.  The package forms H only inside
-    `operator_algebra_report`, which `verify` runs at S <= 10."""
-    return _H(_couplings(p, S))
+    the result is bitwise symmetric.  The package never forms H; only the
+    tests and the benchmark's tracer call this."""
+    k = _couplings(p, S)
+    return _dense(k.out_rate, (k.a, k.b, k.v), (k.b, k.a, k.v))
 
 
 def build_A(p: ModelParams, S: int, j: int) -> np.ndarray:
     """Factor A_j on {|x| <= S} as a dense N x N array, N = C(S+n, n):
     A_j[x, x] = sqrt(B_j(x)), A_j[x, x+e_j] = -sqrt(D_j(x+e_j)).  The
-    package reads these entries off the coupling list and never builds
-    A_j."""
+    package never forms A_j; only the tests and the benchmark's tracer call
+    this."""
     k = _couplings(p, S)
     a, b = k.a[k.j == j], k.b[k.j == j]
     return _dense(np.sqrt(k.birth), (a, b, -np.sqrt(k.death[b, j])))
 
 
 def operator_algebra_report(p: ModelParams, S: int) -> dict[str, float]:
-    """All the H-level checks in one pass over one coupling list:
+    """All the H-level checks in one pass over one coupling list, with no
+    N x N array:
 
-    - symmetry_defect: max |H - H^T| (must be exactly 0 by construction)
+    - symmetry_defect: max |H - H^T|, 0.0 by construction: both triangles
+      of H are the one array v, so this records a property of the
+      construction rather than measuring anything
     - factorization: max |H - sum A^T A| on interior rows, relative to
       1 + max |H| (the rounding floor scales with the rates)
     - H_sqrtW: max |H sqrt(W)| on interior rows, relative to ||sqrt(W)||
     - A_sqrtW: max over j of |A_j sqrt(W)| on interior rows
-    - min_interior_eigenvalue: smallest eigenvalue of the interior principal
-      submatrix (positive semi-definiteness of the truncated operator)
+    - interior_eigenvalue_floor: a certified lower bound on the smallest
+      eigenvalue of H's interior principal block, relative to 1 + max |H|
+      (positive semi-definiteness of the truncated operator)
 
     The factors are read off the coupling list, without forming A_j: A_j is
     sqrt(B) on the diagonal and -sqrt(D_j(x+e_j)) at (x, x+e_j), so
@@ -184,30 +197,46 @@ def operator_algebra_report(p: ModelParams, S: int) -> dict[str, float]:
     - sqrt(D_j(x+e_j)) sqrt(W(x+e_j)).  H takes one square root of the
     product of the rates, the factors a product of two roots, so their
     agreement is a rounding-level check of the factorization, not a
-    tautology.
+    tautology.  H sqrt(W) is out_rate sqrt(W) plus v sqrt(W) gathered onto
+    both ends of every coupling.
+
+    The floor is Weyl's inequality.  On the interior block, H_in = G_in +
+    E_in with G = sum_j A_j^T A_j positive semi-definite, and so is every
+    principal block of it; E_in = H_in - G_in is the defect that
+    `factorization` measures entry by entry.  So lambda_min(H_in) >=
+    -||E_in||_2 >= -max_row sum |E_in|, the last step because E_in is
+    symmetric.  The entries of E_in are formed in floats, so the floor is
+    certified up to their rounding.  Relative to 1 + max |H|, it stays at
+    rounding level however large the death rates x_j/c_j grow.
     """
     k = _couplings(p, S)
-    H = _H(k)
-    inner = k.inner
-    sqrt_w = np.sqrt(weight_vector(p, enumerate_lattice(p.n, S)))
+    N, inner, a, b, v = len(k.X), k.inner, k.a, k.b, k.v
+    sqrt_w = np.sqrt(weight_vector(p, k.X))
     root_b, root_d = np.sqrt(k.birth), np.sqrt(k.death)
 
     diag = np.zeros(len(inner))
     for j in range(p.n):
         diag += root_b[inner] ** 2 + root_d[inner, j] ** 2
-    cross = root_b[k.a] * root_d[k.b, k.j]
-    fac = np.abs(np.concatenate([k.out_rate[inner] - diag, H[k.a, k.b] + cross]))
-    a_w = root_b[k.a] * sqrt_w[k.a] - root_d[k.b, k.j] * sqrt_w[k.b]
-    h_w = float(np.abs((H @ sqrt_w)[inner]).max()) / float(
-        np.linalg.norm(sqrt_w)
-    )
-    min_eig = float(np.linalg.eigvalsh(H[np.ix_(inner, inner)])[0])
+    cross = root_b[a] * root_d[b, k.j]
+    defect_diag, defect_off = np.abs(k.out_rate[inner] - diag), np.abs(v + cross)
+    scale = 1.0 + max(float(k.out_rate.max()), float(np.abs(v).max(initial=0.0)))
+
+    # row sums of |E| over the interior block: a coupling lies in it when x+e_j does
+    both = k.X[b].sum(axis=1) < S
+    rows = (
+        np.bincount(a[both], defect_off[both], N) + np.bincount(b[both], defect_off[both], N)
+    )[inner] + defect_diag
+
+    h_w = (
+        k.out_rate * sqrt_w + np.bincount(a, v * sqrt_w[b], N) + np.bincount(b, v * sqrt_w[a], N)
+    )[inner]
+    a_w = root_b[a] * sqrt_w[a] - root_d[b, k.j] * sqrt_w[b]
     return {
-        "symmetry_defect": float(np.abs(H - H.T).max()),
-        "factorization": float(fac.max()) / (1.0 + float(np.abs(H).max())),
-        "H_sqrtW": h_w,
+        "symmetry_defect": 0.0,
+        "factorization": float(np.concatenate([defect_diag, defect_off]).max()) / scale,
+        "H_sqrtW": float(np.abs(h_w).max()) / float(np.linalg.norm(sqrt_w)),
         "A_sqrtW": float(np.abs(a_w).max()),
-        "min_interior_eigenvalue": min_eig,
+        "interior_eigenvalue_floor": -float(rows.max()) / scale,
     }
 
 

@@ -42,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._atomic import replacing
 from ._fork import run_shares, usable_cpus
 from .errors import ParameterError
 from .model import (
@@ -485,7 +486,9 @@ class PolyTable:
         worker into an unnamed temporary file beside it, made before the
         fork.  Those files are then appended in run order, so the bytes do
         not depend on k.  Every process writes one row at a time, so that
-        only one line of text is held in memory.
+        only one line of text is held in memory.  The file is written under
+        a temporary name and moved over path once complete
+        (`_atomic.replacing`), so a failure leaves the old file or none.
         """
         path = Path(path)
         rows = len(self.m_list)
@@ -493,7 +496,7 @@ class PolyTable:
         bounds = [rows * s // k for s in range(k + 1)]
         cells = ",".join(["%.17g"] * len(self.x_list))
         with ExitStack() as stack:
-            fh = stack.enter_context(path.open("w"))
+            fh = stack.enter_context(replacing(path))
             parts = [fh] + [
                 stack.enter_context(tempfile.TemporaryFile("w", dir=path.parent))
                 for _ in range(1, k)

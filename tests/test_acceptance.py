@@ -116,27 +116,27 @@ def test_criterion_04_orthogonality():
 
 def test_criterion_05_operator_algebra():
     worst = {"symmetry_defect": 0.0, "factorization": 0.0, "H_sqrtW": 0.0}
-    min_eig = math.inf
+    floor = math.inf
     for n in (1, 2):
         for beta in BETAS:
             p, _ = instance(n, beta)
             rep = operator_algebra_report(p, 10)
             for key in worst:
                 worst[key] = max(worst[key], rep[key])
-            min_eig = min(min_eig, rep["min_interior_eigenvalue"])
+            floor = min(floor, rep["interior_eigenvalue_floor"])
     ok = (
         worst["symmetry_defect"] == 0.0
         and worst["factorization"] <= 1e-12
         and worst["H_sqrtW"] <= 1e-10
-        and min_eig >= -1e-8
+        and floor >= -1e-8
     )
     report(5, "operator algebra", ok,
            f"sym {worst['symmetry_defect']:.1e}, fac {worst['factorization']:.2e}, "
-           f"HsqrtW {worst['H_sqrtW']:.2e}, min eig {min_eig:.2e}")
+           f"HsqrtW {worst['H_sqrtW']:.2e}, eig floor {floor:.2e}")
     assert worst["symmetry_defect"] == 0.0
     assert worst["factorization"] <= 1e-12
     assert worst["H_sqrtW"] <= 1e-10
-    assert min_eig >= -1e-8
+    assert floor >= -1e-8
 
 
 def test_criterion_06_genfun_identity():

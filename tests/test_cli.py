@@ -264,7 +264,7 @@ class TestVerifyCommand:
         "check,module,name,field",
         [
             ("moments", bdprocess, "moment_check", "second"),
-            ("h_spectrum_floor", operators, "operator_algebra_report", "min_interior_eigenvalue"),
+            ("h_spectrum_floor", operators, "operator_algebra_report", "interior_eigenvalue_floor"),
         ],
     )
     def test_nan_field_fails(self, tmp_path, monkeypatch, check, module, name, field):
@@ -332,6 +332,39 @@ class TestSimulateCommand:
         assert main(["table", cfg, "--max-deg", "171"]) == EXIT_INVALID
         assert "171 exceeds 170" in capsys.readouterr().err
         assert main(["simulate", cfg, "--M", "171", "--n-traj", "10"]) == EXIT_INVALID
+
+
+class TestWholeArtifacts:
+    """Each artifact is written under a temporary name beside it and moved
+    over it once complete, so a failure leaves the old file's bytes and no
+    temporary file."""
+
+    @pytest.mark.parametrize(
+        "command, artifact",
+        [
+            ("spectrum", "spectrum.json"),
+            ("table", "poly_table.csv"),
+            ("verify", "verify_report.json"),
+            ("simulate", "sim_vs_spectral.csv"),
+        ],
+    )
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, command, artifact):
+        cfg = write_config(
+            tmp_path, beta=1.0, c=[0.5], limits={"S": 6, "max_deg": 2, "M": 8, "D": 8},
+            sim={"seed": 9, "n_traj": 500, "t": 0.8},
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / artifact).write_bytes(b"old\n")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            main([command, cfg])
+        assert os.listdir(out) == [artifact]
+        assert (out / artifact).read_bytes() == b"old\n"
 
 
 class TestColdImport:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import unittest.mock
 from dataclasses import replace
 from functools import lru_cache
@@ -18,6 +19,7 @@ from conftest import (
     unit_shift,
 )
 from mvmeixner import operators
+from mvmeixner.cli import H_ZERO_MODE_TOL, SPECTRUM_FLOOR
 from mvmeixner.errors import SingularGenfun
 from mvmeixner.model import (
     ModelParams,
@@ -313,7 +315,57 @@ class TestMatrixOperators:
         assert rep["factorization"] <= 1e-12
         assert rep["H_sqrtW"] <= 1e-10
         assert rep["A_sqrtW"] <= 1e-10
-        assert rep["min_interior_eigenvalue"] >= -1e-8
+        assert rep["interior_eigenvalue_floor"] >= -1e-8
+
+    # the tiny rate's death rates reach 1e9: an absolute floor reads -6.0e-8
+    # there, while the smallest interior eigenvalue is +3.6e-2
+    @pytest.mark.parametrize("beta, c, S", MATRIX_SETS + [(1.5, (1e-8, 0.6), 10)])
+    def test_floor_is_below_interior_eigenvalue(self, beta, c, S):
+        p = ModelParams(beta, c)
+        H = build_H(p, S)
+        inner = interior(p.n, S)
+        floor = operator_algebra_report(p, S)["interior_eigenvalue_floor"]
+        assert floor * (1.0 + np.abs(H).max()) <= np.linalg.eigvalsh(H[np.ix_(inner, inner)])[0]
+        assert -floor <= SPECTRUM_FLOOR
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda p, k: replace(k, death=k.X * np.asarray(p.c)),  # x_j c_j for x_j / c_j
+            lambda p, k: replace(k, birth=p.beta + k.X.sum(axis=1) / 2),  # beta + |x|/2
+        ],
+        ids=["death-times-c", "half-birth"],
+    )
+    def test_zero_mode_sees_wrong_rates(self, monkeypatch, wrong):
+        # H and its factors read the same rates, so only H sqrt(W) = 0 ties
+        # them to W; H's entries are derived from the replaced rates
+        real = operators._couplings
+        monkeypatch.setattr(operators, "_couplings", lambda p, S: wrong(p, real(p, S)))
+        for beta, c in ((1.5, (0.2, 0.3)), (1.0, (0.5,)), (1.5, (0.1, 0.15, 0.2))):
+            assert operator_algebra_report(ModelParams(beta, c), 10)["H_sqrtW"] > H_ZERO_MODE_TOL
+
+    def test_report_forms_no_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense matrix or eigensolver used")
+
+        for name in ("eigvalsh", "eigh", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(operators, "_dense", refuse)
+        rep = operator_algebra_report(ModelParams(1.5, (0.1, 0.15, 0.2)), 10)
+        assert rep["interior_eigenvalue_floor"] >= -SPECTRUM_FLOOR
+
+    def test_report_memory_n5(self):
+        # N = 3003 points: a dense H alone is 72 MB, and the report with H,
+        # H - H^T and eigvalsh peaked at 207 MB
+        p = ModelParams(1.5, (0.04, 0.06, 0.08, 0.1, 0.12))
+        operator_algebra_report(p, 10)  # warm the lattice tables
+        tracemalloc.start()
+        try:
+            operator_algebra_report(p, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_similarity_with_htilde(self):
         # W^(-1/2) H W^(1/2) acts like the difference operator on random polys

@@ -895,7 +895,8 @@ class TestCsvSplit:
 
     # the row formatting goes through _fmt_midx, patched to fail in the
     # caller's share or in a worker's; each failure keeps its type, leaves no
-    # child and no temporary file
+    # child and no temporary file, and leaves no file where there was none and
+    # the old file's bytes where there was one
     @pytest.mark.parametrize(
         "where,error,match",
         [
@@ -918,7 +919,12 @@ class TestCsvSplit:
         split(3)
         monkeypatch.setattr(polynomials, "_fmt_midx", failing)
         table = poly_table(*instance(2, 1.5), 3, 6)
-        with pytest.raises(error, match=match):
-            table.write_csv(tmp_path / "poly_table.csv")
-        _assert_no_child()
-        assert os.listdir(tmp_path) == ["poly_table.csv"]
+        path, old = tmp_path / "poly_table.csv", b"m\\x,0\n0,1\n"
+        for before in ([], ["poly_table.csv"]):
+            with pytest.raises(error, match=match):
+                table.write_csv(path)
+            _assert_no_child()
+            assert os.listdir(tmp_path) == before
+            if not before:
+                path.write_bytes(old)
+        assert path.read_bytes() == old
