@@ -66,7 +66,13 @@ from .model import (
     weight,
     weight_vector,
 )
-from .polynomials import _composition_array, _product_table, _row_sum_coeffs, _u_columns
+from .polynomials import (
+    _coeff_matrix,
+    _composition_array,
+    _product_table,
+    _row_sum_coeffs,
+    _u_columns,
+)
 from .spectral import SpectralData
 
 # Simulator limits and comparison hygiene.
@@ -126,18 +132,16 @@ def _exact_gram(
     P_m = sum_r coeff_r (-1)^{|r|} x^(r) in falling factorials, x^(a) x^(b)
     = sum_t T[a, b, t] x^(t) per coordinate, and W, the negative-multinomial
     law, has E_W[x^(s)] = (beta)_{|s|} prod_i q_i^{s_i}, q = c/(1-|c|)
-    (Johnson, Kotz & Balakrishnan 1997, ch. 36).  So the Gram is C M C^T with
-    M[r, r'] = sum_j (beta)_j pi_j, pi_j = [z^j] prod_i sum_t T[r_i, r'_i, t]
-    (q_i z)^t.  beta, c and coeff are exact rationals, and c_i = c'_i / L,
-    1 - |c| = D / L give q_i = c'_i / D, so all of it is formed in Python ints.
+    (Johnson, Kotz & Balakrishnan 1997, ch. 36).  So the Gram is C M C^T,
+    with C of polynomials._coeff_matrix and M[r, r'] = sum_j (beta)_j pi_j,
+    pi_j = [z^j] prod_i sum_t T[r_i, r'_i, t] (q_i z)^t.  beta, c and coeff
+    are exact rationals, and c_i = c'_i / L, 1 - |c| = D / L give q_i =
+    c'_i / D, so all of it is formed in Python ints.
     """
     n, d, K = p.n, max_deg, 2 * max_deg + 1
     m_list = compositions_upto(d, n)
     R = _composition_array(d, n)
-    C = np.zeros((len(m_list), len(R)))
-    for row, m in enumerate(m_list):
-        rank, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), m)
-        C[row, rank] = coeff
+    C = _coeff_matrix(p, sd, m_list)
     if not np.isfinite(C).all():  # an overflowed list has no exact value
         return m_list, np.full(C.shape, np.nan)
     num, den = zip(*map(float.as_integer_ratio, (C * (-1.0) ** R.sum(axis=1)).flat))
@@ -193,7 +197,7 @@ def choose_orthogonality_S(
     one: on |x| = s >= 1, |P_m| <= A s^max_deg with A = max_m sum_r |coeff_r|,
     so the omitted sum is at most A^2 tail_bound(S, 2 max_deg)."""
     lists = (_row_sum_coeffs(p.beta, _u_columns(sd), m) for m in compositions_upto(max_deg, p.n))
-    A = max(np.abs(coeff).sum() for _, coeff in lists)
+    A = max(np.abs(coeff).sum() for coeff in lists)
     for S in range(start, 401, 10):
         if A**2 * tail_bound(p, S, 2 * max_deg) <= tail_eps:
             return S

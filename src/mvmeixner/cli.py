@@ -238,7 +238,7 @@ def _verify_checks(cfg: RunConfig) -> dict[str, dict]:
     moments = bdprocess.moment_check(p)
     record("moments", _worst([moments["mean"], moments["second"]]), MOMENT_TOL)
 
-    sample = [x for x in enumerate_lattice(p.n, 10)]
+    sample = enumerate_lattice(p.n, 10)
     eigen_worst = _worst([
         operators.eigen_check(p, sd, m, sample)
         for m in polynomials.compositions_upto(min(cfg.max_deg, 3), p.n)

@@ -2,10 +2,11 @@
 
 Multi-indices are plain tuples of nonnegative ints throughout the package;
 the canonical serialization order for anything indexed by the lattice is
-graded lexicographic (total degree first, then first entry descending),
-as produced by :func:`enumerate_lattice`.  :func:`lattice_rank` gives a
-point's position in that order in closed form, and :func:`lattice_points`
-builds shells as int arrays by its inverse :func:`lattice_unrank`.
+graded lexicographic (total degree first, then first entry descending).
+:func:`lattice_rank` gives a point's position in that order in closed form,
+and :func:`lattice_points`, the one enumerator, builds any run of shells as
+an int array by its inverse :func:`lattice_unrank`; :func:`compositions_upto`
+and :func:`enumerate_lattice` are its views as tuples.
 """
 
 from __future__ import annotations
@@ -129,26 +130,13 @@ def log_shifted_factorial(a: float, k: int) -> float:
 # lattice enumeration
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def compositions(total: int, parts: int) -> tuple[MultiIndex, ...]:
-    """All tuples of `parts` nonnegative ints summing to exactly `total`,
-    first entry descending (the within-shell graded-lex order)."""
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
+# 64 entries bound what a process that visits many (limit, parts) holds.
+@lru_cache(maxsize=64)
 def compositions_upto(limit: int, parts: int) -> tuple[MultiIndex, ...]:
-    """All tuples of `parts` nonnegative ints with sum <= `limit`, graded-lex."""
-    out = []
-    for s in range(limit + 1):
-        out.extend(compositions(s, parts))
-    return tuple(out)
+    """All tuples of `parts` nonnegative ints with sum <= `limit`, graded-lex:
+    lattice_points(parts, 0, limit) as tuples of Python ints, zipped from its
+    columns so that no list per point is made on the way."""
+    return tuple(zip(*lattice_points(parts, 0, limit).T.tolist()))
 
 
 def enumerate_lattice(n: int, S: int) -> list[MultiIndex]:

@@ -35,7 +35,6 @@ from .errors import SingularGenfun
 from .model import (
     ModelParams,
     MultiIndex,
-    enumerate_lattice,
     lattice_points,
     lattice_rank,
     weight_vector,
@@ -90,7 +89,7 @@ def eigen_check(
     if not len(X):
         return 0.0
     S = int(X.sum(axis=1).max()) + 1
-    lattice = np.array(enumerate_lattice(p.n, S), dtype=np.int64)
+    lattice = lattice_points(p.n, 0, S)
     values = poly_values(p, sd, m, lattice)
     read = lambda Y: values[lattice_rank(Y)]
     fx = read(X)

@@ -7,15 +7,17 @@ n-by-n nonnegative integer matrices, collapsed onto row-sum vectors r,
 
 A matrix contributes zero unless column j sums to at most m_j and row i to
 at most x_i, because a shifted factorial with a nonpositive-integer base
-vanishes.  coeff_r depends on (beta, u, m) only: `_row_sum_coeffs` builds
-one list of (lattice_rank of r, coeff_r) per m in numpy, summing each r
-bucket with fsum, and caches it.  A single point (`meixner_eval`) reads the
-r <= x of its m's list in Python floats and sums them with fsum; a table
-(`_table_values`, behind `poly_table` and `poly_values`) is built one r at
-a time over every m whose list holds r, on blocks of points, and each of
-its values is the one a loop over its own m's list gives.  The spectral
-kernel's table (`_product_table`) is the same sum as one product P = C V of
-the lists and V[r, x] = prod_i (-x_i)_{r_i}, equal to it to rounding.
+vanishes.  coeff_r depends on (beta, u, m) only, and every r with
+|r| <= |m| is a row sum, so `_row_sum_coeffs` builds one cached, read-only
+vector of coeff_r per m over that graded-lex prefix, summing each r bucket
+with fsum, and `_coeff_matrix` lays the vectors of a list of m into the
+rows of C, zero past each prefix.  A single point (`meixner_eval`) reads
+the r <= x of its m's vector in Python floats and sums them with fsum; a
+table (`_table_values`, behind `poly_table` and `poly_values`) is built
+one column r of C at a time over every m whose vector reaches r, on blocks
+of points, each value the one a loop over its own m's vector gives.  The
+spectral kernel's table (`_product_table`) is the same sum as one product
+P = C V with V[r, x] = prod_i (-x_i)_{r_i}, equal to it to rounding.
 
 Route 2 (`genfun_all`): expansion of the generating function
 
@@ -51,6 +53,7 @@ from .model import (
     check_degree,
     compositions_upto,
     enumerate_lattice,
+    lattice_points,
     lattice_rank,
     shifted_factorial,
 )
@@ -66,8 +69,8 @@ def _u_columns(sd: SpectralData) -> tuple[tuple[float, ...], ...]:
 
 @lru_cache(maxsize=64)
 def _composition_array(deg: int, n: int) -> np.ndarray:
-    """compositions_upto(deg, n) as a read-only int array, one row each."""
-    out = np.array(compositions_upto(deg, n), dtype=np.intp).reshape(-1, n)
+    """lattice_points(n, 0, deg), the r with |r| <= deg, read-only."""
+    out = lattice_points(n, 0, deg)
     out.flags.writeable = False
     return out
 
@@ -85,17 +88,18 @@ def _nonzero_parts(deg: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 @lru_cache(maxsize=1024)
 def _row_sum_coeffs(
     beta: float, u_cols: tuple[tuple[float, ...], ...], m: MultiIndex
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Collapse the matrix sum onto its row-sum vectors r:
 
         P_m(x) = sum_r coeff_r * prod_i (-x_i)_{r_i}.
 
-    Returns each r as its lattice_rank, its position in every
-    compositions_upto(d, n) with d >= |r|, ascending (so graded-lex), and
-    coeff_r beside it.  Column j of a matrix is a composition of at most
-    m_j with factor (-m_j)_{|col|} * prod_i u_ij^{col_i} / col_i!; a
-    matrix's product is formed column by column from 1.0, each r bucket is
-    summed by fsum and divided by (beta)_{|r|}.  Nothing here depends on x.
+    Returns coeff_r at every r with |r| <= |m|, in graded-lex order (entry
+    k at the r of lattice_rank k), as one read-only float vector of length
+    C(|m|+n, n).  Column j of a matrix is a composition of at most m_j with
+    factor (-m_j)_{|col|} * prod_i u_ij^{col_i} / col_i!; a matrix's product
+    is formed column by column from 1.0, each r bucket is summed by fsum and
+    divided by (beta)_{|r|}.  A product that underflows is an exact zero,
+    which fsum ignores, so every bucket is kept.  Nothing here depends on x.
     ParameterError if |m| exceeds MAX_DEGREE or a power u_ij^k overflows.
     """
     n, deg = len(m), sum(m)
@@ -103,7 +107,7 @@ def _row_sum_coeffs(
     rows = np.zeros((1, n), dtype=np.int64)
     prods = np.ones(1)
     for j, mj in enumerate(m):
-        cols = np.array(compositions_upto(mj, n), dtype=np.int64)
+        cols = _composition_array(mj, n)
         fac = np.array([shifted_factorial(-mj, s) for s in range(mj + 1)])[cols.sum(axis=1)]
         for i in range(n):
             try:
@@ -113,20 +117,17 @@ def _row_sum_coeffs(
                     f"degree |m|={deg}: a power u^k, k <= {mj}, overflows at u={u_cols[j][i]}"
                 ) from None
             fac = fac * np.array(powers)[cols[:, i]]
-        nonzero = fac != 0.0
-        rows = (rows[:, None, :] + cols[nonzero][None, :, :]).reshape(-1, n)
-        prods = (prods[:, None] * fac[nonzero][None, :]).ravel()
+        rows = (rows[:, None, :] + cols[None, :, :]).reshape(-1, n)
+        prods = (prods[:, None] * fac[None, :]).ravel()
     rank = lattice_rank(rows)
     order = np.argsort(rank, kind="stable")
     bounds = np.flatnonzero(np.diff(rank[order], prepend=-1, append=-1)).tolist()
     prods = prods[order].tolist()
     sums = [math.fsum(prods[a:b]) for a, b in zip(bounds, bounds[1:])]
-    first = order[bounds[:-1]]
-    rank = rank[first]
     poch = np.array([shifted_factorial(beta, d) for d in range(deg + 1)])
-    coeff = np.array(sums) / poch[rows[first].sum(axis=1)]
-    rank.flags.writeable = coeff.flags.writeable = False
-    return rank, coeff
+    coeff = np.array(sums) / poch[_composition_array(deg, n).sum(axis=1)]
+    coeff.flags.writeable = False
+    return coeff
 
 
 def meixner_eval(
@@ -145,7 +146,7 @@ def meixner_eval(
     if len(m) != n or len(x) != n:
         raise ValueError(f"m and x must have length {n}")
     deg = sum(m)
-    rank, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), tuple(m))
+    coeff = _row_sum_coeffs(p.beta, _u_columns(sd), tuple(m))
     # xfac[i][k] = (-x_i)_k, built as shifted_factorial builds it
     xfac = []
     for xi in x:
@@ -153,11 +154,10 @@ def meixner_eval(
         for k in range(min(xi, deg)):
             fac.append(fac[-1] * (k - xi))
         xfac.append(fac)
-    parts = _nonzero_parts(deg, n)
     terms = []
-    # memoryview reads the cached arrays as Python ints and floats
-    for k, term in zip(memoryview(rank), memoryview(coeff)):
-        for i, ri in parts[k]:
+    # memoryview reads the cached vector as Python floats
+    for parts, term in zip(_nonzero_parts(deg, n), memoryview(coeff)):
+        for i, ri in parts:
             if ri > x[i]:
                 break
             term *= xfac[i][ri]
@@ -181,8 +181,24 @@ def pochhammer_table(kmax: int, vmax: int) -> np.ndarray:
     return T
 
 
-# One row sum r of a merged table: its (i, r_i) with r_i > 0, the rows of the
-# m whose lists hold r, and their coeff_r as a column.
+def _coeff_matrix(
+    p: ModelParams, sd: SpectralData, m_list: Sequence[MultiIndex]
+) -> np.ndarray:
+    """C[row, k] = coeff_r of m_list[row]'s vector at the r of lattice rank k,
+    for the r with |r| <= max |m|: each vector laid into its row, zero past
+    its prefix.  The largest degree is checked before any vector is built."""
+    deg = max((sum(m) for m in m_list), default=0)
+    check_degree(deg, "degree |m|")
+    u = _u_columns(sd)
+    C = np.zeros((len(m_list), math.comb(deg + p.n, p.n)))
+    for row, m in zip(C, m_list):
+        coeff = _row_sum_coeffs(p.beta, u, tuple(m))
+        row[:len(coeff)] = coeff
+    return C
+
+
+# One column r of C in a merged table: its (i, r_i) with r_i > 0, the rows of
+# the m whose vectors reach r, and their coeff_r as a column.
 _Group = tuple[tuple[tuple[int, int], ...], slice | np.ndarray, np.ndarray]
 
 # Bytes of the arrays _sum_terms works on for one block of points (its sums,
@@ -193,26 +209,20 @@ _BLOCK_BYTES = 1 << 18
 
 
 def _table_values(
-    p: ModelParams,
-    sd: SpectralData,
-    m_list: Sequence[MultiIndex],
-    X: np.ndarray,
-    out: np.ndarray | None = None,
+    p: ModelParams, sd: SpectralData, m_list: Sequence[MultiIndex], X: np.ndarray
 ) -> np.ndarray:
     """P_m at every row of X (shape (npoints, n)) for every m of m_list, as
-    an array of shape (len(m_list), npoints), written into `out` if given.
+    an array of shape (len(m_list), npoints).
 
-    Each row sum r of the m's coefficient lists is visited once, in
-    graded-lex order, over the m that hold it (see _sum_terms).  Each m's
-    terms are thus formed and added in its own list's order, from 0.0, so
-    every value is the one a loop over that list alone would give, and does
-    not depend on the other m or points.
+    Each column r of the m's coefficient matrix is visited once, in
+    graded-lex order, over the m whose vectors reach it (see _sum_terms).
+    Each m's terms are thus formed and added in its own vector's order, from
+    0.0, so every value is the one a loop over that vector alone would give,
+    and does not depend on the other m or points.
     """
     groups = _merged_lists(p, sd, m_list)
-    if out is None:
-        out = np.empty((len(m_list), len(X)))
+    out = np.zeros((len(m_list), len(X)))
     if not groups or not len(X):
-        out[...] = 0.0
         return out
     kmax = max(sum(m) for m in m_list)
     T = pochhammer_table(kmax, int(X.max()))
@@ -225,41 +235,25 @@ def _table_values(
 def _merged_lists(
     p: ModelParams, sd: SpectralData, m_list: Sequence[MultiIndex]
 ) -> list[_Group]:
-    """The coefficient lists of m_list merged by row sum, one group per r in
-    graded-lex order, its m in m_list order.  Each list's ranks slot its
-    entries straight into their groups, so no list is sorted again."""
+    """One group per column r of _coeff_matrix(m_list), in graded-lex
+    order, over the rows whose vectors reach r (those with |m| >= |r|) in
+    m_list order."""
     if not m_list:
         return []
-    # checked before the first list is built, as in _product_table
-    max_deg = max(sum(m) for m in m_list)
-    check_degree(max_deg, "degree |m|")
-    lists = [_row_sum_coeffs(p.beta, _u_columns(sd), tuple(m)) for m in m_list]
-    parts = _nonzero_parts(max_deg, p.n)
-    counts = np.zeros(len(parts) + 1, dtype=np.intp)
-    for rank, _ in lists:
-        counts[rank + 1] += 1
-    bounds = np.cumsum(counts)  # the entries of rank k fill bounds[k]:bounds[k+1]
-    fill = bounds[:-1].copy()
-    owner = np.empty(bounds[-1], dtype=np.intp)
-    coeff = np.empty((bounds[-1], 1))
-    for i, (rank, c) in enumerate(lists):
-        slots = fill[rank]
-        owner[slots] = i
-        coeff[slots, 0] = c
-        fill[rank] += 1
-    ranks = np.flatnonzero(counts[1:])
-    starts, ends = bounds[ranks], bounds[ranks + 1]
-    first, last = owner[starts].tolist(), owner[ends - 1].tolist()
-    # the rows of an r ascend and are mostly consecutive; a slice for them
-    # lets numpy add in place instead of gathering and scattering
-    return [
-        (
-            parts[r],
-            slice(f, l + 1) if l - f == b - a - 1 else owner[a:b],
-            coeff[a:b],
-        )
-        for r, a, b, f, l in zip(ranks.tolist(), starts.tolist(), ends.tolist(), first, last)
-    ]
+    C = _coeff_matrix(p, sd, m_list)
+    degrees = np.array([sum(m) for m in m_list])
+    top, n = int(degrees.max()), p.n
+    parts = _nonzero_parts(top, n)
+    groups = []
+    for d in range(top + 1):
+        rows = np.flatnonzero(degrees >= d)
+        # the rows of a graded-lex m_list are consecutive; a slice for them
+        # lets numpy add in place instead of gathering and scattering
+        if rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        for r in range(math.comb(d - 1 + n, n) if d else 0, math.comb(d + n, n)):
+            groups.append((parts[r], rows, C[rows, r, None]))
+    return groups
 
 
 def _sum_terms(
@@ -292,12 +286,12 @@ def _product_table(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """P_m at every row of X (shape (npoints, n)) for every m of
-    compositions_upto(max_deg, n) as one product P = C V, with C[m, r] the
-    coeff_r of m's list and V[r, x] = prod_i (-x_i)_{r_i}; written into
-    `out` if given.
+    compositions_upto(max_deg, n) as one product P = C V, with C of
+    _coeff_matrix and V[r, x] = prod_i (-x_i)_{r_i}; written into `out` if
+    given.
 
     C is held as one block per degree |m| = d, over the r with |r| <= d (a
-    graded-lex prefix), so it takes no more room than the lists.  A value
+    graded-lex prefix), so it takes no more room than the vectors.  A value
     multiplies coeff_r by the whole product V[r, x] rather than factor by
     factor, so it agrees with _table_values to rounding, not bit for bit.
     Each block of points has one fixed width, the last one padded with its
@@ -306,15 +300,11 @@ def _product_table(
     hold, so no value depends on the other points or on the blocking.
     """
     check_degree(max_deg, "degree |m|")
-    n, m_list, u = p.n, compositions_upto(max_deg, p.n), _u_columns(sd)
+    n, m_list = p.n, compositions_upto(max_deg, p.n)
     blocks = []
     for d in range(max_deg + 1):
-        first, last = math.comb(d - 1 + n, n) if d else 0, math.comb(d + n, n)
-        C = np.zeros((last - first, last))
-        for row, m in enumerate(m_list[first:last]):
-            rank, coeff = _row_sum_coeffs(p.beta, u, m)
-            C[row, rank] = coeff
-        blocks.append((slice(first, last), C))
+        rows = slice(math.comb(d - 1 + n, n) if d else 0, math.comb(d + n, n))
+        blocks.append((rows, _coeff_matrix(p, sd, m_list[rows])))
     if out is None:
         out = np.empty((len(m_list), len(X)))
     R = _composition_array(max_deg, n)

@@ -1,13 +1,26 @@
 import math
 import os
+import warnings
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from mvmeixner.errors import MeixnerError
-from mvmeixner.model import ModelParams, enumerate_lattice, lattice_rank, shifted_factorial
+from mvmeixner.model import ModelParams, lattice_rank, shifted_factorial
 from mvmeixner.spectral import SpectralData, solve
+
+# hypothesis's pytest plugin imports this module when a property test fails;
+# its libcst import raises a DeprecationWarning (from mypy_extensions), which
+# filterwarnings = error would turn into an INTERNALERROR that ends the
+# session.  Imported once here with that warning ignored, so a failing
+# property test is reported like any other.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst not installed: the plugin then skips it too
+        pass
 
 # Desk-scale instances used across the suite: distinct rates per dimension.
 C_BY_N = {1: (0.5,), 2: (0.2, 0.3), 3: (0.1, 0.2, 0.3)}
@@ -25,10 +38,24 @@ def instance(n: int, beta: float) -> tuple[ModelParams, SpectralData]:
     return p, solve(p)
 
 
+@lru_cache(maxsize=None)
+def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """All tuples of `parts` nonnegative ints summing to exactly `total`,
+    first entry descending (the within-shell graded-lex order)."""
+    if parts == 1:
+        return ((total,),)
+    out = []
+    for first in range(total, -1, -1):
+        for rest in compositions(total - first, parts - 1):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
 def lattice_index(n: int, S: int) -> dict[tuple[int, ...], int]:
-    """Oracle for model.lattice_rank: each point's position in
-    enumerate_lattice(n, S)."""
-    return {x: i for i, x in enumerate(enumerate_lattice(n, S))}
+    """Oracle for model.lattice_rank: each point's position in the shells
+    |x| = 0, 1, ..., S of `compositions`, one after another."""
+    points = [x for s in range(S + 1) for x in compositions(s, n)]
+    return {x: i for i, x in enumerate(points)}
 
 
 def unit_shift(x: tuple[int, ...], j: int, step: int) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from conftest import (
     _assert_no_child,
     all_instances,
     birth_rate,
+    compositions,
     death_rate,
     instance,
     lattice_index,
@@ -44,7 +45,6 @@ from mvmeixner.errors import (
 )
 from mvmeixner.model import (
     ModelParams,
-    compositions,
     compositions_upto,
     enumerate_lattice,
     weight,
@@ -166,7 +166,7 @@ class TestOrthogonality:
         M = {(r, s): moment(r, s) for r in R for s in R}
         u = polynomials._u_columns(sd)
         lists = [
-            {R[k]: Fraction(v) for k, v in zip(*polynomials._row_sum_coeffs(p.beta, u, m))}
+            {R[k]: Fraction(v) for k, v in enumerate(polynomials._row_sum_coeffs(p.beta, u, m))}
             for m in R
         ]
         gram = orthogonality_check(p, sd, max_deg).gram
@@ -184,7 +184,7 @@ class TestOrthogonality:
         tail_eps, max_deg = 1e-8, 3
         u = polynomials._u_columns(sd)
         A = max(
-            np.abs(polynomials._row_sum_coeffs(p.beta, u, m)[1]).sum()
+            np.abs(polynomials._row_sum_coeffs(p.beta, u, m)).sum()
             for m in compositions_upto(max_deg, p.n)
         )
         bound = lambda S: A**2 * bdprocess.tail_bound(p, S, 2 * max_deg)

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import lattice_index, unit_shift
+from conftest import compositions, lattice_index, unit_shift
 from mvmeixner.errors import CMassNotBelowOne, NonPositiveBeta, NonPositiveC
 from mvmeixner.model import (
     ModelParams,
-    compositions,
     enumerate_lattice,
     lattice_points,
     lattice_rank,

@@ -247,8 +247,8 @@ class TestCoefficientLists:
         # x_i < r_i for most of m's rows: only the r <= x contribute
         p, sd = instance(3, 1.5)
         m = (3, 2, 0)
-        rank, _ = _row_sum_coeffs(p.beta, _u_columns(sd), m)
-        r = np.array(compositions_upto(5, 3))[rank]
+        r = np.array(compositions_upto(5, 3))
+        assert len(_row_sum_coeffs(p.beta, _u_columns(sd), m)) == len(r)
         for x in ((0, 0, 5), (1, 0, 0), (0, 2, 1), (4, 0, 1)):
             assert (r > np.array(x)).any(axis=1).any()
             assert meixner_eval(p, sd, m, x) == _oracle_meixner_eval(p, sd, m, x)
@@ -263,12 +263,29 @@ class TestCoefficientLists:
         assert _row_sum_coeffs.cache_info().misses - before == 1
 
     def test_lists_graded_lex_and_read_only(self):
-        # every r of degree <= 3 occurs, by its rank in compositions_upto
+        # one entry per r of degree <= 3, in the order of compositions_upto
         p, sd = instance(2, 0.7)
-        rank, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), (2, 1))
-        assert rank.tolist() == list(range(len(compositions_upto(3, 2))))
-        assert rank.shape == coeff.shape
-        assert not rank.flags.writeable and not coeff.flags.writeable
+        coeff = _row_sum_coeffs(p.beta, _u_columns(sd), (2, 1))
+        assert coeff.shape == (len(compositions_upto(3, 2)),)
+        assert not coeff.flags.writeable
+
+    def test_full_prefix_where_products_underflow(self):
+        # c_0 = 6.6e-5 (a sweep set, seed 14): u_0j^k / k! underflows for
+        # some column compositions, so some r are reached by zero products
+        # only; the vector still holds every r with |r| <= 60, C(62, 2) of
+        # them, and both readers keep the capped recursion's bits and signs
+        p = ModelParams(2.0388549353664196, (6.646924521892182e-05, 0.6520200550897901))
+        sd = solve(p)
+        m = (60, 0)
+        assert len(_row_sum_coeffs(p.beta, _u_columns(sd), m)) == math.comb(62, 2) == 1891
+        lattice = enumerate_lattice(2, 12)
+        for x in lattice:
+            got, want = meixner_eval(p, sd, m, x), _oracle_meixner_eval(p, sd, m, x)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), x
+        X = np.array(lattice, dtype=int)
+        got, want = poly_values(p, sd, m, X), _oracle_poly_values(p, sd, m, X)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     @given(data=st.data())
@@ -352,12 +369,12 @@ class TestProductTable:
         m_list = compositions_upto(max_deg, n)
         got = _product_table(p, sd, max_deg, X)
         want = _table_values(p, sd, m_list, X)
-        # sum_r |C_mr V_rx|, with C from the coefficient lists and
+        # sum_r |C_mr V_rx|, with C from the coefficient vectors and
         # V[r, x] = prod_i (-x_i)_{r_i}
         C = np.zeros((len(m_list), len(m_list)))
         for row, m in enumerate(m_list):
-            rank, coeff = _row_sum_coeffs(p.beta, _u_columns(sd), m)
-            C[row, rank] = coeff
+            coeff = _row_sum_coeffs(p.beta, _u_columns(sd), m)
+            C[row, :len(coeff)] = coeff
         T = pochhammer_table(max_deg, int(X.max()))
         R = np.array(m_list).reshape(-1, n)
         V = np.prod([T[R[:, i:i + 1], X[:, i]] for i in range(n)], axis=0)

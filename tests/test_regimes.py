@@ -183,3 +183,20 @@ def test_high_degree_eval(n, beta, c, deg, m_cuts, size, x_cuts):
     except MeixnerError:
         return
     assert math.isfinite(value)
+
+
+# At n=1, P_m(x) = 2F1(-m, -x; beta; 1 - 1/c) (Koekoek, Lesky & Swarttouw
+# 2010, 9.10).  Here route 1's alternating terms cancel past every digit:
+# it returns -1.69e17 with no error for 3.87e17, which the finiteness row
+# above cannot see.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+def test_high_degree_eval_accuracy():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        want = float(mpmath.hyp2f1(-44, -87, 1.5, -1))
+    p = ModelParams(1.5, (0.5,))
+    try:
+        got = meixner_eval(p, solve(p), (44,), (87,))
+    except MeixnerError:
+        return
+    assert abs(got - want) <= 1e-8 * abs(want)
